@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,6 +61,18 @@ struct Vocabulary {
   /// solve-cache key so vocabularies distinguish otherwise identical
   /// compiles, and echoed into proof certificates.
   [[nodiscard]] std::string rendered() const;
+
+  /// The one shape check for a vocabulary, shared by the library and the
+  /// plan service: every named region is one of `regionNames`, capacities
+  /// are positive, replication bounds are non-negative and not inverted,
+  /// every affinity field is a "region.field" in `accessedFields` (the
+  /// fields some statement of the program accesses), and `pieces` is set
+  /// when capacity or replication bounds are present. Throws BadRequest on
+  /// the first violation. Infeasibility is not a shape error: only the
+  /// solver decides it (InfeasibleError).
+  void validate(const std::set<std::string>& regionNames,
+                const std::set<std::string>& accessedFields,
+                std::size_t pieces) const;
 };
 
 /// The same constraints translated onto post-unification partition symbols

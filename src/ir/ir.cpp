@@ -125,6 +125,14 @@ void Loop::forEachStmt(const std::function<void(const Stmt&)>& fn) const {
   walk(body);
 }
 
+const Stmt* Loop::stmt(int id) const {
+  const Stmt* found = nullptr;
+  forEachStmt([&](const Stmt& s) {
+    if (s.id == id) found = &s;
+  });
+  return found;
+}
+
 std::string Loop::toString() const {
   std::ostringstream os;
   os << "loop " << name << ": for (" << loopVar << " in " << iterRegion

@@ -75,6 +75,8 @@ struct Loop {
   [[nodiscard]] int stmtCount() const;
   /// Walks all statements (pre-order, recursing into inner loops).
   void forEachStmt(const std::function<void(const Stmt&)>& fn) const;
+  /// The statement with id `id` at any nesting depth, or nullptr.
+  [[nodiscard]] const Stmt* stmt(int id) const;
   [[nodiscard]] std::string toString() const;
 };
 

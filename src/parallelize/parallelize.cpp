@@ -1,7 +1,9 @@
 #include "parallelize/parallelize.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -12,11 +14,11 @@
 #include "constraint/unify.hpp"
 #include "parallelize/solve_cache.hpp"
 #include "support/check.hpp"
-#include "support/timer.hpp"
 
 namespace dpart::parallelize {
 
 using analysis::AccessMode;
+using constraint::resolveRename;
 using constraint::System;
 using dpl::ExprKind;
 using dpl::ExprPtr;
@@ -133,10 +135,8 @@ std::vector<region::PartitionExpectation> planExpectations(
     for (const auto& [stmtId, rp] : pl.reduces) {
       // Resolve the reduced region for partitions not used as a direct
       // access partition (guard / private / shared symbols).
-      std::string reducedRegion;
-      pl.loop->forEachStmt([&](const ir::Stmt& s) {
-        if (s.id == stmtId) reducedRegion = s.region;
-      });
+      const ir::Stmt* reduced = pl.loop->stmt(stmtId);
+      const std::string reducedRegion = reduced ? reduced->region : "";
       switch (rp.strategy) {
         case optimize::ReduceStrategy::Direct:
           break;  // covered via the access partition above
@@ -181,30 +181,124 @@ std::vector<region::PartitionExpectation> planExpectations(
     it->second.replicationMin = bounds.first;
     it->second.replicationMax = bounds.second;
   }
-  for (const constraint::SolverVocabulary::SymbolPair& p : v.colocated) {
-    if (auto it = merged.find(p.symA);
-        it != merged.end() && it->second.colocateWith.empty()) {
-      it->second.colocateWith = p.symB;
-    } else if (auto jt = merged.find(p.symB);
-               jt != merged.end() && jt->second.colocateWith.empty()) {
-      jt->second.colocateWith = p.symA;
+  // A pair lands on the first of its symbols with no partner yet.
+  auto pairUp = [&merged](const auto& pairs,
+                          std::string region::PartitionExpectation::*with) {
+    for (const constraint::SolverVocabulary::SymbolPair& p : pairs) {
+      if (auto it = merged.find(p.symA);
+          it != merged.end() && (it->second.*with).empty()) {
+        it->second.*with = p.symB;
+      } else if (auto jt = merged.find(p.symB);
+                 jt != merged.end() && (jt->second.*with).empty()) {
+        jt->second.*with = p.symA;
+      }
     }
-  }
-  for (const constraint::SolverVocabulary::SymbolPair& p : v.antiAffine) {
-    if (auto it = merged.find(p.symA);
-        it != merged.end() && it->second.antiAffineWith.empty()) {
-      it->second.antiAffineWith = p.symB;
-    } else if (auto jt = merged.find(p.symB);
-               jt != merged.end() && jt->second.antiAffineWith.empty()) {
-      jt->second.antiAffineWith = p.symA;
-    }
-  }
+  };
+  pairUp(v.colocated, &region::PartitionExpectation::colocateWith);
+  pairUp(v.antiAffine, &region::PartitionExpectation::antiAffineWith);
 
   std::vector<region::PartitionExpectation> out;
   out.reserve(merged.size());
   for (auto& [_, e] : merged) out.push_back(std::move(e));
   return out;
 }
+
+/// Algorithm 1's output, over the plan's own copy of the program:
+/// PlannedLoop::loop points at these loops, so the plan must not dangle when
+/// the caller's program is a temporary (or is destroyed before the plan is
+/// executed).
+struct AutoParallelizer::Inferred {
+  struct Loop {
+    const ir::Loop* loop = nullptr;
+    analysis::ParallelizableResult accesses;
+    analysis::LoopConstraints constraints;
+    optimize::LoopReductionPlan reduction;  ///< empty until relax()
+  };
+  std::shared_ptr<const ir::Program> program;
+  std::set<std::string> rangeFns;  ///< the world's range-valued fn ids
+  std::vector<Loop> loops;
+};
+
+/// Section 5.1 applied: every loop's reduction plan is set (relaxed, or
+/// tentatively buffered reductions that synthesize may upgrade).
+struct AutoParallelizer::Relaxed : Inferred {};
+
+/// The canonical cache key of the post-relaxation constraint state, and the
+/// solve-cache entry stored under it.
+struct AutoParallelizer::Canonical {
+  constraint::CanonicalForm form;
+  SolveCache* cache = nullptr;  ///< null when caching is off or bypassed
+  std::shared_ptr<const SolveCacheEntry> hit;  ///< null on a miss
+};
+
+namespace {
+
+/// Runs one compile phase inside its "compile" trace span and adds its time
+/// to the phase's CompileStats field. The clock reads sit inside the span,
+/// so the span and the field share one boundary and
+/// Tracer::spanTotalsMs() cannot disagree with CompileStats.
+template <typename Fn>
+auto inPhase(Tracer* tracer, const char* name, double& statMs, Fn&& fn) {
+  using Clock = std::chrono::steady_clock;
+  const TraceSpan span(tracer, "compile",
+                       [name] { return std::string(name); });
+  const Clock::time_point start = Clock::now();
+  auto artifact = fn();
+  statMs += std::chrono::duration<double, std::milli>(Clock::now() - start)
+                .count();
+  return artifact;
+}
+
+/// Emits the certificate header (ground model + decisive system +
+/// vocabulary) that precedes the logged replay of the decisive solve.
+void beginProof(constraint::ProofLog& log, const region::World& world,
+                std::size_t pieces, const System& decisive,
+                const constraint::SolverVocabulary& vocab) {
+  log.begin(pieces);
+  for (const std::string& r : world.regionNames()) {
+    log.region(r, static_cast<std::size_t>(world.region(r).size()));
+  }
+  for (const std::string& id : world.fnIds()) {
+    const region::FnDef& fn = world.fn(id);
+    const region::Index n = world.region(fn.domainRegion).size();
+    if (fn.isRangeValued()) {
+      std::vector<std::pair<long long, long long>> table;
+      table.reserve(static_cast<std::size_t>(n));
+      for (region::Index i = 0; i < n; ++i) {
+        const region::Run run = world.evalRange(id, i);
+        table.emplace_back(run.lo, run.hi);
+      }
+      log.rangeFn(id, fn.domainRegion, fn.rangeRegion, table);
+    } else {
+      std::vector<long long> table;
+      table.reserve(static_cast<std::size_t>(n));
+      for (region::Index i = 0; i < n; ++i) {
+        table.push_back(world.evalPoint(id, i));
+      }
+      log.pointFn(id, fn.domainRegion, fn.rangeRegion, table);
+    }
+  }
+  for (const std::string& sym : decisive.symbols()) {
+    log.symbol(sym, decisive.isFixed(sym), decisive.regionOf(sym));
+  }
+  log.conjuncts(decisive);
+  log.vocabulary(vocab);
+}
+
+/// Closes the certificate with the plan section — the final DPL program and
+/// the runtime verifier's expectations, so the checker can evaluate the
+/// model end-to-end and cross-validate against region/verify — and writes
+/// it.
+void finishProof(constraint::ProofLog& log, const ParallelPlan& plan,
+                 std::size_t pieces, const std::string& path) {
+  for (const dpl::Stmt& s : plan.dpl.stmts()) log.planStmt(s.lhs, s.rhs);
+  for (const region::PartitionExpectation& e : planExpectations(plan, pieces)) {
+    log.expectation(expectationTokens(e));
+  }
+  writeProofFile(path, log.finish());
+}
+
+}  // namespace
 
 AutoParallelizer::AutoParallelizer(const region::World& world, Options options)
     : world_(world), options_(options) {}
@@ -215,95 +309,107 @@ void AutoParallelizer::addExternalConstraint(const System& external) {
   externals_.push_back(std::move(marked));
 }
 
-std::set<std::string> AutoParallelizer::rangeFnIds() const {
-  std::set<std::string> out;
-  for (const std::string& id : world_.fnIds()) {
-    if (world_.fn(id).isRangeValued()) out.insert(id);
+ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
+  CompileStats stats;
+  std::optional<constraint::ProofLog> proof;
+  if (!options_.proofFile.empty()) proof.emplace();
+
+  Inferred inferred = inPhase(tracer_, "phase.infer", stats.inferMs,
+                              [&] { return infer(program); });
+  stats.parallelLoops = static_cast<int>(inferred.loops.size());
+  // The paper's Table 1 bills the relaxation analysis as "solve".
+  Relaxed relaxed = inPhase(tracer_, "phase.relax", stats.solveMs,
+                            [&] { return relax(std::move(inferred)); });
+  const Canonical canonical = inPhase(tracer_, "phase.canon", stats.canonMs,
+                                      [&] { return canonicalize(relaxed); });
+  stats.cacheKey = canonical.form.hash;
+  stats.cacheHit = canonical.hit != nullptr;
+
+  constraint::UnifyResult unified;
+  if (!canonical.hit) {
+    unified = inPhase(tracer_, "phase.unify", stats.unifyMs,
+                      [&] { return unify(relaxed); });
   }
-  return out;
+  constraint::SolverVocabulary solverVocab;
+  Solved solved = inPhase(tracer_, "phase.solve", stats.solveMs, [&] {
+    // The rendering matched, so the inverse of this compile's canonical
+    // labeling is an isomorphism from the cached systems onto ours: the
+    // rebound entry is exactly what a fresh solve would produce (solver
+    // determinism + symmetry).
+    if (canonical.hit) {
+      return mapNames(canonical.hit->solved,
+                      canonical.form.toCanonical.inverted());
+    }
+    solverVocab = translateVocabulary(relaxed, unified);
+    Solved fresh = solve(std::move(unified), relaxed, solverVocab,
+                         proof ? &*proof : nullptr);
+    if (canonical.cache != nullptr) {
+      canonical.cache->insert(
+          canonical.form.hash,
+          std::make_shared<const SolveCacheEntry>(SolveCacheEntry{
+              canonical.form.rendering,
+              mapNames(fresh, canonical.form.toCanonical)}));
+    }
+    return fresh;
+  });
+  stats.solve = solved.solution.stats;
+
+  ParallelPlan result = inPhase(tracer_, "phase.synthesize", stats.rewriteMs,
+                                [&] {
+    ParallelPlan built = synthesize(std::move(relaxed), std::move(solved),
+                                    std::move(solverVocab));
+    if (proof) {
+      finishProof(*proof, built, options_.pieces, options_.proofFile);
+      stats.proofEvents = proof->events();
+      stats.proofBytes = proof->bytes();
+    }
+    return built;
+  });
+  result.stats = stats;
+  return result;
 }
 
-ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
-  ParallelPlan result;
-  // The plan keeps its own copy of the program: PlannedLoop::loop points at
-  // these loops, so the plan must not dangle when the caller's program is a
-  // temporary (or is destroyed before the plan is executed).
-  result.program = std::make_shared<const ir::Program>(program);
-  const std::set<std::string> rangeFns = rangeFnIds();
-  Timer timer;
+AutoParallelizer::Inferred AutoParallelizer::infer(
+    const ir::Program& program) const {
+  Inferred out;
+  out.program = std::make_shared<const ir::Program>(program);
+  for (const std::string& id : world_.fnIds()) {
+    if (world_.fn(id).isRangeValued()) out.rangeFns.insert(id);
+  }
+  constraint::SymbolGen gen;
+  for (const ir::Loop& loop : out.program->loops) {
+    Inferred::Loop st;
+    st.loop = &loop;
+    st.accesses = analysis::checkParallelizable(world_, loop);
+    DPART_CHECK(st.accesses.ok, "loop '" + loop.name +
+                                    "' is not parallelizable: " +
+                                    st.accesses.reason);
+    st.constraints = analysis::inferConstraints(world_, loop, gen);
+    out.loops.push_back(std::move(st));
+  }
 
-  // ---- External-vocabulary validation (shape errors are BadRequest-class
-  // failures; *infeasibility* is only ever decided by the solver) ----
+  // Vocabulary shape errors are BadRequest-class failures; infeasibility is
+  // only ever decided by the solver.
   const constraint::Vocabulary& vocab = options_.vocab;
   if (!vocab.empty()) {
     DPART_CHECK(options_.engine == constraint::SolverEngine::Propagation,
                 "the syntax-directed engine does not support external "
                 "vocabularies");
-    for (const constraint::CapacityBound& cb : vocab.capacities) {
-      DPART_CHECK(world_.hasRegion(cb.region),
-                  "capacity bound names unknown region '" + cb.region + "'");
-      DPART_CHECK(cb.maxPerPiece > 0,
-                  "capacity bound on '" + cb.region + "' must be positive");
-    }
-    for (const constraint::ReplicationBound& rb : vocab.replications) {
-      DPART_CHECK(world_.hasRegion(rb.region),
-                  "replication bound names unknown region '" + rb.region +
-                      "'");
-      DPART_CHECK(rb.minFactor >= 0,
-                  "replication floor on '" + rb.region +
-                      "' must be non-negative");
-      DPART_CHECK(rb.maxFactor <= 0 || rb.maxFactor >= rb.minFactor,
-                  "replication bounds on '" + rb.region + "' are inverted");
-    }
-    for (const constraint::FieldAffinity& fa : vocab.affinities) {
-      for (const std::string& f : {fa.fieldA, fa.fieldB}) {
-        const auto dot = f.find('.');
-        DPART_CHECK(dot != std::string::npos && dot > 0 &&
-                        dot + 1 < f.size(),
-                    "affinity field '" + f + "' must be 'region.field'");
-        DPART_CHECK(world_.hasRegion(f.substr(0, dot)),
-                    "affinity field '" + f + "' names unknown region '" +
-                        f.substr(0, dot) + "'");
+    std::set<std::string> accessedFields;
+    for (const Inferred::Loop& st : out.loops) {
+      for (const analysis::AccessInfo& a : st.accesses.accesses) {
+        accessedFields.insert(a.stmt->region + "." + a.stmt->field);
       }
     }
-    DPART_CHECK(vocab.capacities.empty() && vocab.replications.empty()
-                    ? true
-                    : options_.pieces > 0,
-                "Options::pieces must be set when capacity or replication "
-                "bounds are present");
+    const std::vector<std::string> regions = world_.regionNames();
+    vocab.validate({regions.begin(), regions.end()}, accessedFields,
+                   options_.pieces);
   }
-  const bool wantProof = !options_.proofFile.empty();
-  constraint::ProofLog proofLog;
-  constraint::SolverVocabulary svocab;
+  return out;
+}
 
-  // ---- Inference (Algorithm 1) ----
-  struct LoopState {
-    const ir::Loop* loop;
-    analysis::ParallelizableResult accesses;
-    analysis::LoopConstraints constraints;
-    optimize::LoopReductionPlan reduction;
-  };
-  std::vector<LoopState> loops;
-  constraint::SymbolGen gen;
-  {
-    DPART_TRACE_SPAN(tracer_, "compile", "phase.infer");
-    for (const ir::Loop& loop : result.program->loops) {
-      LoopState st;
-      st.loop = &loop;
-      st.accesses = analysis::checkParallelizable(world_, loop);
-      DPART_CHECK(st.accesses.ok,
-                  "loop '" + loop.name + "' is not parallelizable: " +
-                      st.accesses.reason);
-      st.constraints = analysis::inferConstraints(world_, loop, gen);
-      loops.push_back(std::move(st));
-    }
-  }
-  result.stats.parallelLoops = static_cast<int>(loops.size());
-  result.stats.inferMs = timer.millis();
-  timer.reset();
-
-  DPART_TRACE_SPAN_NAMED(relaxSpan, tracer_, "compile", "phase.relax");
-  // ---- Section 5.1 relaxation (per iteration-region group) ----
+AutoParallelizer::Relaxed AutoParallelizer::relax(Inferred inferred) const {
+  Relaxed out{std::move(inferred)};
   if (options_.enableRelaxation) {
     // The paper's heuristic: relax only when *all* loops using the same
     // iteration-space region can be relaxed. A loop with centered writes
@@ -311,17 +417,15 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
     // disjoint partition reuse, so it blocks its whole group (this is why
     // Circuit keeps reduction buffers while MiniAero sheds them).
     std::map<std::string, bool> groupRelaxable;
-    for (const LoopState& st : loops) {
+    for (const Inferred::Loop& st : out.loops) {
       bool& ok = groupRelaxable.try_emplace(st.loop->iterRegion, true)
                      .first->second;
       bool hasUncenteredReduce = false;
       bool hasCenteredWrite = false;
       for (const analysis::AccessInfo& a : st.accesses.accesses) {
-        if (a.mode == AccessMode::Reduce && !a.centered) {
-          hasUncenteredReduce = true;
-        }
-        if (a.mode == AccessMode::Write ||
-            (a.mode == AccessMode::Reduce && a.centered)) {
+        const bool reduce = a.mode == AccessMode::Reduce;
+        if (reduce && !a.centered) hasUncenteredReduce = true;
+        if (a.mode == AccessMode::Write || (reduce && a.centered)) {
           hasCenteredWrite = true;
         }
       }
@@ -331,7 +435,7 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
         ok = false;
       }
     }
-    for (LoopState& st : loops) {
+    for (Inferred::Loop& st : out.loops) {
       if (!groupRelaxable.at(st.loop->iterRegion)) continue;
       if (!optimize::isRelaxable(st.accesses, st.constraints)) continue;
       st.reduction = optimize::relaxLoop(st.accesses, st.constraints);
@@ -339,8 +443,8 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
   }
 
   // Tentative plans for remaining uncentered reductions: buffered (may be
-  // upgraded below).
-  for (LoopState& st : loops) {
+  // upgraded by synthesize).
+  for (Inferred::Loop& st : out.loops) {
     if (st.reduction.relaxed) continue;
     for (const analysis::AccessInfo& a : st.accesses.accesses) {
       if (a.mode != AccessMode::Reduce || a.centered) continue;
@@ -351,12 +455,11 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
       st.reduction.reduces.push_back(rp);
     }
   }
+  return out;
+}
 
-  relaxSpan.end();
-  const double relaxMs = timer.millis();
-  timer.reset();
-
-  // ---- Canonical cache key (post-relaxation) ----
+AutoParallelizer::Canonical AutoParallelizer::canonicalize(
+    const Relaxed& relaxed) const {
   // Algorithm 3 already computes isomorphism classes of constraint graphs;
   // canonicalize() lifts that to the whole program so an isomorphic program
   // compiled before — under any renaming of symbols, regions and fns — can
@@ -364,370 +467,240 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
   // stage consumes: the post-relax systems, the external constraint systems,
   // the range-fn set, the relevant options, each loop's relaxed flag and its
   // reduce-target symbols (which drive the disjoint-reduction attempt).
-  DPART_TRACE_SPAN_NAMED(canonSpan, tracer_, "compile", "phase.canon");
   const std::uint64_t optionBits =
       (options_.enableRelaxation ? 1u : 0u) |
       (options_.enableDisjointReduction ? 2u : 0u) |
       (options_.enablePrivateSubPartitions ? 4u : 0u) |
       (options_.enableUnification ? 8u : 0u);
-  constraint::CanonicalForm canon;
-  {
-    std::vector<constraint::CanonicalLoop> canonLoops;
-    canonLoops.reserve(loops.size());
-    for (const LoopState& st : loops) {
-      constraint::CanonicalLoop cl;
-      cl.system = &st.constraints.system;
-      cl.relaxed = st.reduction.relaxed;
-      for (const ReducePlan& rp : st.reduction.reduces) {
-        cl.reduceTargets.push_back(rp.partition);
-      }
-      canonLoops.push_back(std::move(cl));
+  std::vector<constraint::CanonicalLoop> canonLoops;
+  canonLoops.reserve(relaxed.loops.size());
+  for (const Inferred::Loop& st : relaxed.loops) {
+    constraint::CanonicalLoop cl;
+    cl.system = &st.constraints.system;
+    cl.relaxed = st.reduction.relaxed;
+    for (const ReducePlan& rp : st.reduction.reduces) {
+      cl.reduceTargets.push_back(rp.partition);
     }
-    std::vector<const System*> exts;
-    exts.reserve(externals_.size());
-    for (const System& ext : externals_) exts.push_back(&ext);
-    // Vocabulary constraints reference concrete region names and sizes —
-    // exactly what canonical isomorphism abstracts away — so they join the
-    // key as raw material: two compiles only share a key when their
-    // vocabularies, piece counts and region sizes agree verbatim.
-    std::string extraKey;
-    if (!vocab.empty()) {
-      std::ostringstream ek;
-      ek << "pieces " << options_.pieces << '\n' << vocab.rendered();
-      for (const std::string& r : world_.regionNames()) {
-        ek << "size " << r << ' ' << world_.region(r).size() << '\n';
-      }
-      extraKey = ek.str();
-    }
-    canon = constraint::canonicalize(canonLoops, exts, rangeFns, optionBits,
-                                     extraKey);
+    canonLoops.push_back(std::move(cl));
   }
-  result.stats.cacheKey = canon.hash;
-  canonSpan.end();
-  result.stats.canonMs = timer.millis();
-  timer.reset();
+  std::vector<const System*> exts;
+  exts.reserve(externals_.size());
+  for (const System& ext : externals_) exts.push_back(&ext);
+  // Vocabulary constraints reference concrete region names and sizes —
+  // exactly what canonical isomorphism abstracts away — so they join the
+  // key as raw material: two compiles only share a key when their
+  // vocabularies, piece counts and region sizes agree verbatim.
+  const constraint::Vocabulary& vocab = options_.vocab;
+  std::string extraKey;
+  if (!vocab.empty()) {
+    std::ostringstream ek;
+    ek << "pieces " << options_.pieces << '\n' << vocab.rendered();
+    for (const std::string& r : world_.regionNames()) {
+      ek << "size " << r << ' ' << world_.region(r).size() << '\n';
+    }
+    extraKey = ek.str();
+  }
 
+  Canonical out;
+  out.form = constraint::canonicalize(canonLoops, exts, relaxed.rangeFns,
+                                      optionBits, extraKey);
   // Constrained and proof-emitting compiles bypass the cache in both
   // directions: rebinding a cached solve under renamed symbols cannot
   // preserve vocabulary semantics (which bind to concrete names), and a
   // certificate must describe an actual solve, not a rebound one.
-  SolveCache* cache =
-      (!vocab.empty() || wantProof) ? nullptr : options_.solveCache;
-  std::shared_ptr<const SolveCacheEntry> cached =
-      cache ? cache->find(canon.hash, canon.rendering) : nullptr;
+  out.cache = vocab.empty() && options_.proofFile.empty()
+                  ? options_.solveCache
+                  : nullptr;
+  if (out.cache) out.hit = out.cache->find(out.form.hash, out.form.rendering);
+  return out;
+}
 
+constraint::UnifyResult AutoParallelizer::unify(const Relaxed& relaxed) const {
   std::map<std::string, std::string> renames;
-  constraint::Solution sol;
-  std::set<std::string> fixedSymbols;
-
-  if (cached) {
-    // ---- Cache hit: rebind the canonical solve into this program's names.
-    // The rendering matched, so `canon.toCanonical` is an isomorphism onto
-    // the systems the entry was solved for; mapping the entry back through
-    // its inverse yields exactly the solution a fresh solve of *this*
-    // program would produce (solver determinism + symmetry).
-    result.stats.cacheHit = true;
-    const constraint::NameMaps back = canon.toCanonical.inverted();
-    for (const auto& [from, to] : cached->renames) {
-      renames[back.symbol(from)] = back.symbol(to);
-    }
-    sol.ok = true;
-    for (const auto& [sym, expr] : cached->assignments) {
-      sol.assignments[back.symbol(sym)] = constraint::mapExpr(expr, back);
-    }
-    sol.order.reserve(cached->order.size());
-    for (const std::string& sym : cached->order) {
-      sol.order.push_back(back.symbol(sym));
-    }
-    sol.resolved = constraint::mapSystem(cached->resolved, back);
-    for (const std::string& sym : cached->fixedSymbols) {
-      fixedSymbols.insert(back.symbol(sym));
-    }
-    result.stats.solveMs = relaxMs + timer.millis();
-    timer.reset();
-  } else {
-    // ---- Unification (Algorithm 3) ----
-    DPART_TRACE_SPAN_NAMED(unifySpan, tracer_, "compile", "phase.unify");
-    std::vector<System> systems;
-    for (LoopState& st : loops) {
-      if (options_.enableUnification) {
-        constraint::collapsePlainEdges(st.constraints.system, renames,
-                                       rangeFns);
-      }
-      systems.push_back(st.constraints.system);
-    }
-    for (const System& ext : externals_) systems.push_back(ext);
-
-    System combined;
+  std::vector<System> systems;
+  for (const Inferred::Loop& st : relaxed.loops) {
+    systems.push_back(st.constraints.system);
     if (options_.enableUnification) {
-      constraint::UnifyResult ur = constraint::unifySystems(systems, rangeFns);
-      combined = std::move(ur.system);
-      for (const auto& [from, to] : ur.renames) renames[from] = to;
-    } else {
-      for (const System& s : systems) combined.merge(s);
-      combined = combined.substituted({});
+      constraint::collapsePlainEdges(systems.back(), renames,
+                                     relaxed.rangeFns);
     }
-    unifySpan.end();
-    result.stats.unifyMs = timer.millis();
-    timer.reset();
+  }
+  for (const System& ext : externals_) systems.push_back(ext);
 
-    auto finalName = [&renames](std::string sym) {
-      auto it = renames.find(sym);
-      while (it != renames.end()) {
-        sym = it->second;
-        it = renames.find(sym);
-      }
-      return sym;
-    };
+  if (!options_.enableUnification) {
+    System combined;
+    for (const System& s : systems) combined.merge(s);
+    return {combined.substituted({}), {}};
+  }
+  constraint::UnifyResult ur =
+      constraint::unifySystems(std::move(systems), relaxed.rangeFns);
+  ur.renames.merge(renames);  // unification's renames win over collapses
+  return ur;
+}
 
-    // ---- Vocabulary translation onto post-unification symbols ----
-    // Capacity / replication bounds on a region apply to every open symbol
-    // partitioning it; field affinities bind the access partitions of the
-    // named "region.field" statements (pairs keep the field names for
-    // first-conflict provenance).
-    if (!vocab.empty()) {
-      auto openSymbolsOf = [&](const std::string& regionName) {
-        std::vector<std::string> out;
-        for (const std::string& sym : combined.symbols()) {
-          if (!combined.isFixed(sym) &&
-              combined.regionOf(sym) == regionName) {
-            out.push_back(sym);
-          }
-        }
-        return out;
-      };
-      for (const constraint::CapacityBound& cb : vocab.capacities) {
-        for (const std::string& sym : openSymbolsOf(cb.region)) {
-          auto [it, inserted] =
-              svocab.capacity.try_emplace(sym, cb.maxPerPiece);
-          if (!inserted) it->second = std::min(it->second, cb.maxPerPiece);
-        }
-      }
-      for (const constraint::ReplicationBound& rb : vocab.replications) {
-        for (const std::string& sym : openSymbolsOf(rb.region)) {
-          auto [it, inserted] = svocab.replication.try_emplace(
-              sym, std::make_pair(rb.minFactor, rb.maxFactor));
-          if (inserted) continue;
-          it->second.first = std::max(it->second.first, rb.minFactor);
-          if (rb.maxFactor > 0) {
-            it->second.second = it->second.second <= 0
-                                    ? rb.maxFactor
-                                    : std::min(it->second.second,
-                                               rb.maxFactor);
-          }
-        }
-      }
-      auto fieldSymbols = [&](const std::string& fieldName) {
-        const auto dot = fieldName.find('.');
-        const std::string regionName = fieldName.substr(0, dot);
-        const std::string field = fieldName.substr(dot + 1);
-        std::set<std::string> syms;
-        for (const LoopState& st : loops) {
-          for (const analysis::AccessInfo& a : st.accesses.accesses) {
-            if (a.stmt->region == regionName && a.stmt->field == field) {
-              syms.insert(finalName(st.constraints.stmtSymbol.at(a.stmt->id)));
-            }
-          }
-        }
-        DPART_CHECK(!syms.empty(), "affinity field '" + fieldName +
-                                       "' matches no access in the program");
-        return syms;
-      };
-      std::set<std::pair<std::string, std::string>> seenCo, seenAnti;
-      for (const constraint::FieldAffinity& fa : vocab.affinities) {
-        for (const std::string& sa : fieldSymbols(fa.fieldA)) {
-          for (const std::string& sb : fieldSymbols(fa.fieldB)) {
-            // Unification may have collapsed both fields onto one symbol:
-            // co-location then already holds structurally, while
-            // anti-affinity becomes a (refutable) self-conflict the
-            // propagator reports with field provenance.
-            if (fa.together && sa == sb) continue;
-            const auto key = std::minmax(sa, sb);
-            auto& seen = fa.together ? seenCo : seenAnti;
-            if (!seen.insert(key).second) continue;
-            constraint::SolverVocabulary::SymbolPair pair;
-            pair.symA = sa;
-            pair.symB = sb;
-            pair.fieldA = fa.fieldA;
-            pair.fieldB = fa.fieldB;
-            (fa.together ? svocab.colocated : svocab.antiAffine)
-                .push_back(std::move(pair));
-          }
-        }
-      }
-    }
-
-    // ---- Section 5.1 first strategy: disjoint reduction partitions ----
-    // For non-relaxed loops whose uncentered reductions all target one
-    // partition symbol, demand DISJ on it so the solver derives a preimage
-    // iteration partition and no buffer is needed. Fall back when unsolvable.
-    DPART_TRACE_SPAN_NAMED(solveSpan, tracer_, "compile", "phase.solve");
-    std::set<std::string> disjointified;
-    if (options_.enableDisjointReduction) {
-      for (const LoopState& st : loops) {
-        if (st.reduction.relaxed) continue;
-        std::set<std::string> targets;
-        for (const ReducePlan& rp : st.reduction.reduces) {
-          targets.insert(finalName(rp.partition));
-        }
-        if (targets.size() == 1) disjointified.insert(*targets.begin());
-      }
-    }
-
-    constraint::SolverConfig scfg;
-    scfg.engine = options_.engine;
-    scfg.vocab = svocab;
-    scfg.pieces = options_.pieces;
-    scfg.search = options_.search;
-    for (const std::string& r : world_.regionNames()) {
-      scfg.regionSizes[r] = static_cast<std::size_t>(world_.region(r).size());
-    }
-
-    {
-      System attempt = combined;
-      for (const std::string& sym : disjointified) {
-        if (attempt.hasSymbol(sym) && !attempt.isFixed(sym)) {
-          attempt.addDisj(dpl::symbol(sym));
-        }
-      }
-      constraint::Solver solver(attempt, rangeFns, scfg);
-      sol = solver.solve();
-      bool usedAttempt = true;
-      if (!sol.ok && !disjointified.empty()) {
-        disjointified.clear();
-        constraint::Solver plain(combined, rangeFns, scfg);
-        sol = plain.solve();
-        usedAttempt = false;
-      }
-      if (wantProof) {
-        // Emit the certificate header (ground model + decisive system +
-        // vocabulary), then replay the decisive solve with logging: the
-        // solver is deterministic, so the trail reproduces the result
-        // above exactly.
-        const System& decisive = usedAttempt ? attempt : combined;
-        proofLog.begin(options_.pieces);
-        for (const std::string& r : world_.regionNames()) {
-          proofLog.region(r, static_cast<std::size_t>(world_.region(r)
-                                                          .size()));
-        }
-        for (const std::string& id : world_.fnIds()) {
-          const region::FnDef& fn = world_.fn(id);
-          const region::Index n = world_.region(fn.domainRegion).size();
-          if (fn.isRangeValued()) {
-            std::vector<std::pair<long long, long long>> table;
-            table.reserve(static_cast<std::size_t>(n));
-            for (region::Index i = 0; i < n; ++i) {
-              const region::Run run = world_.evalRange(id, i);
-              table.emplace_back(run.lo, run.hi);
-            }
-            proofLog.rangeFn(id, fn.domainRegion, fn.rangeRegion, table);
-          } else {
-            std::vector<long long> table;
-            table.reserve(static_cast<std::size_t>(n));
-            for (region::Index i = 0; i < n; ++i) {
-              table.push_back(world_.evalPoint(id, i));
-            }
-            proofLog.pointFn(id, fn.domainRegion, fn.rangeRegion, table);
-          }
-        }
-        for (const std::string& sym : decisive.symbols()) {
-          proofLog.symbol(sym, decisive.isFixed(sym), decisive.regionOf(sym));
-        }
-        proofLog.conjuncts(decisive);
-        proofLog.vocabulary(svocab);
-        constraint::SolverConfig pcfg = scfg;
-        pcfg.proof = &proofLog;
-        constraint::Solver logged(decisive, rangeFns, pcfg);
-        const constraint::Solution psol = logged.solve();
-        DPART_CHECK(psol.ok == sol.ok,
-                    "proof replay diverged from the decisive solve");
-      }
-    }
-    result.stats.solve = sol.stats;
-    if (!sol.ok) {
-      const std::string msg = "constraint resolution failed: " + sol.failure;
-      if (wantProof) {
-        // The certificate already carries the infeasibility trail; write it
-        // before surfacing the failure so the caller can hand it to
-        // tools/proof_check.
-        writeProofFile(options_.proofFile, proofLog.finish());
-        result.stats.proofEvents = proofLog.events();
-        result.stats.proofBytes = proofLog.bytes();
-      }
-      if (sol.conflict.valid()) throw constraint::InfeasibleError(msg);
-      DPART_CHECK(false, msg);
-    }
-    solveSpan.end();
-    // The relaxation analysis is part of what the paper's Table 1 bills as
-    // "solve"; unification is reported on its own row.
-    result.stats.solveMs = relaxMs + timer.millis();
-    timer.reset();
-
+constraint::SolverVocabulary AutoParallelizer::translateVocabulary(
+    const Relaxed& relaxed, const constraint::UnifyResult& unified) const {
+  // Capacity / replication bounds on a region apply to every open symbol
+  // partitioning it; field affinities bind the access partitions of the
+  // named "region.field" statements (pairs keep the field names for
+  // first-conflict provenance).
+  constraint::SolverVocabulary out;
+  const constraint::Vocabulary& vocab = options_.vocab;
+  const System& combined = unified.system;
+  auto openSymbolsOf = [&](const std::string& regionName) {
+    std::vector<std::string> syms;
     for (const std::string& sym : combined.symbols()) {
-      if (combined.isFixed(sym)) fixedSymbols.insert(sym);
+      if (!combined.isFixed(sym) && combined.regionOf(sym) == regionName) {
+        syms.push_back(sym);
+      }
     }
+    return syms;
+  };
+  for (const constraint::CapacityBound& cb : vocab.capacities) {
+    for (const std::string& sym : openSymbolsOf(cb.region)) {
+      auto [it, inserted] = out.capacity.try_emplace(sym, cb.maxPerPiece);
+      if (!inserted) it->second = std::min(it->second, cb.maxPerPiece);
+    }
+  }
+  for (const constraint::ReplicationBound& rb : vocab.replications) {
+    for (const std::string& sym : openSymbolsOf(rb.region)) {
+      auto [it, inserted] = out.replication.try_emplace(
+          sym, std::make_pair(rb.minFactor, rb.maxFactor));
+      if (inserted) continue;
+      it->second.first = std::max(it->second.first, rb.minFactor);
+      if (rb.maxFactor > 0) {
+        it->second.second = it->second.second <= 0
+                                ? rb.maxFactor
+                                : std::min(it->second.second, rb.maxFactor);
+      }
+    }
+  }
+  // Vocabulary::validate guaranteed every affinity field has an access.
+  auto fieldSymbols = [&](const std::string& fieldName) {
+    std::set<std::string> syms;
+    for (const Inferred::Loop& st : relaxed.loops) {
+      for (const analysis::AccessInfo& a : st.accesses.accesses) {
+        if (a.stmt->region + "." + a.stmt->field == fieldName) {
+          syms.insert(resolveRename(unified.renames,
+                                    st.constraints.stmtSymbol.at(a.stmt->id)));
+        }
+      }
+    }
+    return syms;
+  };
+  std::set<std::pair<std::string, std::string>> seenCo, seenAnti;
+  for (const constraint::FieldAffinity& fa : vocab.affinities) {
+    for (const std::string& sa : fieldSymbols(fa.fieldA)) {
+      for (const std::string& sb : fieldSymbols(fa.fieldB)) {
+        // Unification may have collapsed both fields onto one symbol:
+        // co-location then already holds structurally, while anti-affinity
+        // becomes a (refutable) self-conflict the propagator reports with
+        // field provenance.
+        if (fa.together && sa == sb) continue;
+        const auto key = std::minmax(sa, sb);
+        auto& seen = fa.together ? seenCo : seenAnti;
+        if (!seen.insert(key).second) continue;
+        (fa.together ? out.colocated : out.antiAffine)
+            .push_back({sa, sb, fa.fieldA, fa.fieldB});
+      }
+    }
+  }
+  return out;
+}
 
-    if (cache) {
-      // Store the whole unit in canonical names so any isomorphic program
-      // (from any tenant) can rebind it.
-      auto entry = std::make_shared<SolveCacheEntry>();
-      entry->rendering = canon.rendering;
-      for (const auto& [from, to] : renames) {
-        entry->renames[canon.toCanonical.symbol(from)] =
-            canon.toCanonical.symbol(to);
+Solved AutoParallelizer::solve(constraint::UnifyResult unified,
+                               const Relaxed& relaxed,
+                               const constraint::SolverVocabulary& vocab,
+                               constraint::ProofLog* proof) const {
+  const System& combined = unified.system;
+  // Section 5.1 first strategy: for non-relaxed loops whose uncentered
+  // reductions all target one partition symbol, demand DISJ on it so the
+  // solver derives a preimage iteration partition and no buffer is needed.
+  // Fall back when unsolvable.
+  std::set<std::string> disjointified;
+  if (options_.enableDisjointReduction) {
+    for (const Inferred::Loop& st : relaxed.loops) {
+      if (st.reduction.relaxed) continue;
+      std::set<std::string> targets;
+      for (const ReducePlan& rp : st.reduction.reduces) {
+        targets.insert(resolveRename(unified.renames, rp.partition));
       }
-      for (const auto& [sym, expr] : sol.assignments) {
-        entry->assignments[canon.toCanonical.symbol(sym)] =
-            constraint::mapExpr(expr, canon.toCanonical);
-      }
-      entry->order.reserve(sol.order.size());
-      for (const std::string& sym : sol.order) {
-        entry->order.push_back(canon.toCanonical.symbol(sym));
-      }
-      entry->resolved = constraint::mapSystem(sol.resolved, canon.toCanonical);
-      for (const std::string& sym : fixedSymbols) {
-        entry->fixedSymbols.insert(canon.toCanonical.symbol(sym));
-      }
-      cache->insert(canon.hash, std::move(entry));
+      if (targets.size() == 1) disjointified.insert(*targets.begin());
     }
   }
 
-  auto finalName = [&renames](std::string sym) {
-    auto it = renames.find(sym);
-    while (it != renames.end()) {
-      sym = it->second;
-      it = renames.find(sym);
-    }
-    return sym;
-  };
+  constraint::SolverConfig scfg;
+  scfg.engine = options_.engine;
+  scfg.vocab = vocab;
+  scfg.pieces = options_.pieces;
+  scfg.search = options_.search;
+  for (const std::string& r : world_.regionNames()) {
+    scfg.regionSizes[r] = static_cast<std::size_t>(world_.region(r).size());
+  }
 
-  // ---- Rewrite: emit DPL program and per-loop plans ----
-  DPART_TRACE_SPAN(tracer_, "compile", "phase.synthesize");
+  System attempt = combined;
+  for (const std::string& sym : disjointified) {
+    if (attempt.hasSymbol(sym) && !attempt.isFixed(sym)) {
+      attempt.addDisj(dpl::symbol(sym));
+    }
+  }
+  constraint::Solution sol =
+      constraint::Solver(attempt, relaxed.rangeFns, scfg).solve();
+  bool usedAttempt = true;
+  if (!sol.ok && !disjointified.empty()) {
+    sol = constraint::Solver(combined, relaxed.rangeFns, scfg).solve();
+    usedAttempt = false;
+  }
+  if (proof != nullptr) {
+    // Replay the decisive solve with logging: the solver is deterministic,
+    // so the trail reproduces the result above exactly.
+    const System& decisive = usedAttempt ? attempt : combined;
+    beginProof(*proof, world_, options_.pieces, decisive, vocab);
+    constraint::SolverConfig pcfg = scfg;
+    pcfg.proof = proof;
+    const constraint::Solution psol =
+        constraint::Solver(decisive, relaxed.rangeFns, pcfg).solve();
+    DPART_CHECK(psol.ok == sol.ok,
+                "proof replay diverged from the decisive solve");
+  }
+  if (!sol.ok) {
+    const std::string msg = "constraint resolution failed: " + sol.failure;
+    // The certificate already carries the infeasibility trail; write it
+    // before surfacing the failure so the caller can hand it to
+    // tools/proof_check.
+    if (proof != nullptr) writeProofFile(options_.proofFile, proof->finish());
+    if (sol.conflict.valid()) throw constraint::InfeasibleError(msg);
+    DPART_CHECK(false, msg);
+  }
+
+  std::set<std::string> fixedSymbols;
+  for (const std::string& sym : combined.symbols()) {
+    if (combined.isFixed(sym)) fixedSymbols.insert(sym);
+  }
+  return {std::move(unified.renames), std::move(sol), std::move(fixedSymbols)};
+}
+
+ParallelPlan AutoParallelizer::synthesize(
+    Relaxed relaxed, Solved solved,
+    constraint::SolverVocabulary vocab) const {
+  const constraint::Solution& sol = solved.solution;
   dpl::Program prog = sol.program();
-  constraint::Entailment ent(sol.resolved, rangeFns);
+  constraint::Entailment ent(sol.resolved, relaxed.rangeFns);
   auto assignedExpr = [&](const std::string& sym) -> ExprPtr {
     auto it = sol.assignments.find(sym);
     return it == sol.assignments.end() ? dpl::symbol(sym) : it->second;
   };
 
+  ParallelPlan result;
   int privCounter = 0;
-  for (LoopState& st : loops) {
+  for (Inferred::Loop& st : relaxed.loops) {
     PlannedLoop pl;
     pl.loop = st.loop;
     pl.relaxed = st.reduction.relaxed;
-    pl.iterPartition = finalName(st.constraints.iterSymbol);
+    pl.iterPartition = resolveRename(solved.renames, st.constraints.iterSymbol);
     for (const auto& [stmtId, sym] : st.constraints.stmtSymbol) {
-      pl.accessPartition[stmtId] = finalName(sym);
+      pl.accessPartition[stmtId] = resolveRename(solved.renames, sym);
     }
-
-    auto stmtOf = [&](int id) {
-      const ir::Stmt* stmt = nullptr;
-      st.loop->forEachStmt([&](const ir::Stmt& s) {
-        if (s.id == id) stmt = &s;
-      });
-      DPART_CHECK(stmt != nullptr);
-      return stmt;
-    };
 
     // In-place ("Direct") reduction needs more than a disjoint partition
     // per access: when several reduce stmts hit the same field through
@@ -737,14 +710,14 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
     // reduces into one field may go direct only if they all use the same
     // provably disjoint partition — and the iteration partition is
     // disjoint too, so no duplicated iteration applies a reduce twice.
-    const bool iterDisjoint =
-        ent.proveDisj(assignedExpr(pl.iterPartition));
+    const bool iterDisjoint = ent.proveDisj(assignedExpr(pl.iterPartition));
     std::map<std::pair<std::string, std::string>, std::vector<ReducePlan*>>
         byField;
     for (ReducePlan& rp : st.reduction.reduces) {
-      rp.partition = finalName(rp.partition);
+      rp.partition = resolveRename(solved.renames, rp.partition);
       if (rp.strategy != ReduceStrategy::Buffered) continue;
-      const ir::Stmt* stmt = stmtOf(rp.stmtId);
+      const ir::Stmt* stmt = st.loop->stmt(rp.stmtId);
+      DPART_CHECK(stmt != nullptr);
       byField[{stmt->region, stmt->field}].push_back(&rp);
     }
 
@@ -777,7 +750,8 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
               sc.lhs->region == st.loop->iterRegion &&
               sc.lhs->arg->kind == ExprKind::Symbol &&
               sc.rhs->kind == ExprKind::Symbol &&
-              finalName(sc.rhs->name) == pl.iterPartition) {
+              resolveRename(solved.renames, sc.rhs->name) ==
+                  pl.iterPartition) {
             return sc.lhs->arg->name;
           }
         }
@@ -785,11 +759,8 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
       return "";
     };
 
-    if (options_.enablePrivateSubPartitions) {
-      const ExprPtr iterExpr = assignedExpr(pl.iterPartition);
-      const bool iterDisjoint = ent.proveDisj(iterExpr);
+    if (options_.enablePrivateSubPartitions && iterDisjoint) {
       for (auto& [regionName, plans] : byRegion) {
-        if (!iterDisjoint) continue;
         // First preference: user-provided private sub-partitions for every
         // reduction in the group (Section 6.5, Hint2).
         bool allExternal = true;
@@ -826,8 +797,9 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
           const ExprPtr& bound = st.constraints.stmtRawBound.at(rp->stmtId);
           if (bound->kind != ExprKind::Image ||
               bound->arg->kind != ExprKind::Symbol ||
-              finalName(bound->arg->name) != pl.iterPartition ||
-              rangeFns.contains(bound->fn)) {
+              resolveRename(solved.renames, bound->arg->name) !=
+                  pl.iterPartition ||
+              relaxed.rangeFns.contains(bound->fn)) {
             applicable = false;
             break;
           }
@@ -860,27 +832,12 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
     result.loops.push_back(std::move(pl));
   }
 
+  result.program = std::move(relaxed.program);
   result.dpl = prog.withCse();
-  result.system = sol.resolved;
-  result.externalSymbols = std::move(fixedSymbols);
-  result.vocab = vocab;
-  result.solverVocab = std::move(svocab);
-  if (wantProof) {
-    // Close the certificate with the plan section: the final DPL program
-    // and the runtime verifier's expectations, so the checker can evaluate
-    // the model end-to-end and cross-validate against region/verify.
-    for (const dpl::Stmt& s : result.dpl.stmts()) {
-      proofLog.planStmt(s.lhs, s.rhs);
-    }
-    for (const region::PartitionExpectation& e :
-         planExpectations(result, options_.pieces)) {
-      proofLog.expectation(expectationTokens(e));
-    }
-    writeProofFile(options_.proofFile, proofLog.finish());
-    result.stats.proofEvents = proofLog.events();
-    result.stats.proofBytes = proofLog.bytes();
-  }
-  result.stats.rewriteMs = timer.millis();
+  result.system = std::move(solved.solution.resolved);
+  result.externalSymbols = std::move(solved.fixedSymbols);
+  result.vocab = options_.vocab;
+  result.solverVocab = std::move(vocab);
   return result;
 }
 

@@ -9,9 +9,11 @@
 
 #include "analysis/infer.hpp"
 #include "analysis/parallelizable.hpp"
+#include "constraint/proof.hpp"
 #include "constraint/propagate.hpp"
 #include "constraint/solver.hpp"
 #include "constraint/system.hpp"
+#include "constraint/unify.hpp"
 #include "constraint/vocab.hpp"
 #include "dpl/program.hpp"
 #include "ir/ir.hpp"
@@ -23,6 +25,7 @@
 namespace dpart::parallelize {
 
 class SolveCache;
+struct Solved;
 
 /// Tuning knobs for the auto-parallelizer.
 struct Options {
@@ -70,14 +73,17 @@ struct Options {
 
 /// Timing breakdown of one auto-parallelization run (paper Table 1 rows).
 /// The same breakdown is recorded as "compile"-category trace spans
-/// (phase.infer / phase.relax / phase.unify / phase.solve /
-/// phase.synthesize) when a tracer is installed.
+/// (phase.infer / phase.relax / phase.canon / phase.unify / phase.solve /
+/// phase.synthesize) when a tracer is installed. Each field and its span(s)
+/// share one start and one end point, so the two views agree.
 struct CompileStats {
-  double inferMs = 0;
-  double canonMs = 0;   // canonical cache-key construction
-  double unifyMs = 0;   // Algorithm 3 symbol unification
-  double solveMs = 0;   // relaxation analysis + constraint resolution
-  double rewriteMs = 0; // plan construction (the "code rewrite" stage)
+  double inferMs = 0;   // phase.infer: Algorithm 1 + vocabulary validation
+  double canonMs = 0;   // phase.canon: canonical cache key + cache lookup
+  double unifyMs = 0;   // phase.unify: Algorithm 3 symbol unification
+  /// phase.relax + phase.solve: the Section 5.1 relaxation analysis, then
+  /// constraint resolution (or, on a cache hit, rebinding the cached solve).
+  double solveMs = 0;
+  double rewriteMs = 0; // phase.synthesize: plan construction ("rewrite")
   int parallelLoops = 0;
   /// Canonical constraint-graph hash of this compile (the plan-cache key).
   std::uint64_t cacheKey = 0;
@@ -164,6 +170,8 @@ class AutoParallelizer {
   void addExternalConstraint(const constraint::System& external);
 
   /// Runs the full pipeline on a program of parallelizable loops.
+  /// Throws BadRequest on a malformed vocabulary, InfeasibleError when the
+  /// constraints admit no solution, and Error on any other failure.
   [[nodiscard]] ParallelPlan plan(const ir::Program& program);
 
   /// Records one "compile"-category span per pipeline phase into `tracer`
@@ -176,7 +184,24 @@ class AutoParallelizer {
   Tracer* tracer_ = nullptr;
   std::vector<constraint::System> externals_;
 
-  [[nodiscard]] std::set<std::string> rangeFnIds() const;
+  // The pipeline, one function per phase; each takes the previous phase's
+  // artifact and returns the next (see plan() and docs/architecture.md).
+  struct Inferred;
+  struct Relaxed;
+  struct Canonical;
+  [[nodiscard]] Inferred infer(const ir::Program& program) const;
+  [[nodiscard]] Relaxed relax(Inferred inferred) const;
+  [[nodiscard]] Canonical canonicalize(const Relaxed& relaxed) const;
+  [[nodiscard]] constraint::UnifyResult unify(const Relaxed& relaxed) const;
+  [[nodiscard]] constraint::SolverVocabulary translateVocabulary(
+      const Relaxed& relaxed, const constraint::UnifyResult& unified) const;
+  [[nodiscard]] Solved solve(constraint::UnifyResult unified,
+                             const Relaxed& relaxed,
+                             const constraint::SolverVocabulary& vocab,
+                             constraint::ProofLog* proof) const;
+  [[nodiscard]] ParallelPlan synthesize(
+      Relaxed relaxed, Solved solved,
+      constraint::SolverVocabulary vocab) const;
 };
 
 }  // namespace dpart::parallelize

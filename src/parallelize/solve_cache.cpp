@@ -4,6 +4,25 @@
 
 namespace dpart::parallelize {
 
+Solved mapNames(const Solved& solved, const constraint::NameMaps& maps) {
+  Solved out;
+  for (const auto& [from, to] : solved.renames) {
+    out.renames[maps.symbol(from)] = maps.symbol(to);
+  }
+  const constraint::Solution& in = solved.solution;
+  constraint::Solution& sol = out.solution;
+  sol.ok = in.ok;
+  for (const auto& [sym, expr] : in.assignments) {
+    sol.assignments[maps.symbol(sym)] = constraint::mapExpr(expr, maps);
+  }
+  for (const std::string& sym : in.order) sol.order.push_back(maps.symbol(sym));
+  sol.resolved = constraint::mapSystem(in.resolved, maps);
+  for (const std::string& sym : solved.fixedSymbols) {
+    out.fixedSymbols.insert(maps.symbol(sym));
+  }
+  return out;
+}
+
 SolveCache::SolveCache(std::size_t capacity) : capacity_(capacity) {
   DPART_CHECK(capacity_ > 0, "SolveCache capacity must be positive");
 }

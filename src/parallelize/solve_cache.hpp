@@ -14,27 +14,38 @@
 
 namespace dpart::parallelize {
 
-/// One cached collapse+unify+solve result, stored entirely in canonical
-/// names (constraint::canonicalize): the Algorithm 3 renames, the Algorithm 2
-/// solution, and the set of fixed (externally bound) symbols of the unified
-/// system. A requester rebinds the entry into its own names through the
-/// inverse of its canonical NameMaps — valid whenever its rendering matches
-/// the entry's, because a matching rendering proves the requester's labeling
-/// is an isomorphism onto the cached systems.
+/// The collapse+unify+solve result of one compile: the symbol renames of
+/// edge collapsing + Algorithm 3 unification (eliminated -> surviving;
+/// follow with constraint::resolveRename), the Algorithm 2 solution, and the
+/// fixed (externally bound) symbols of the unified system
+/// (-> ParallelPlan::externalSymbols).
+struct Solved {
+  std::map<std::string, std::string> renames;
+  constraint::Solution solution;
+  std::set<std::string> fixedSymbols;
+};
+
+/// Renames every symbol, region and fn of `solved` through `maps`. The solve
+/// cache uses it in both directions: through a compile's
+/// CanonicalForm::toCanonical to store a result, and through the inverse of
+/// the requester's map to rebind an entry. Only the name-bearing parts of
+/// the solution carry over (ok, assignments, order, resolved); its failure
+/// text, search counters and conflict describe one concrete search and are
+/// left empty.
+[[nodiscard]] Solved mapNames(const Solved& solved,
+                              const constraint::NameMaps& maps);
+
+/// One cached result, stored in canonical names (constraint::canonicalize).
+/// A requester rebinds it through the inverse of its own canonical NameMaps —
+/// valid whenever its rendering matches the entry's, because a matching
+/// rendering proves the requester's labeling is an isomorphism onto the
+/// cached systems.
 struct SolveCacheEntry {
   /// Canonical rendering of the systems this entry was solved for. Compared
   /// byte-for-byte on lookup so a 64-bit hash collision between structurally
   /// distinct programs degrades to a cache miss, never a wrong plan.
   std::string rendering;
-  /// Symbol renames performed by edge collapsing + unification
-  /// (canonical -> canonical; follow transitively like ParallelPlan does).
-  std::map<std::string, std::string> renames;
-  /// Solution::assignments / Solution::order / Solution::resolved.
-  std::map<std::string, dpl::ExprPtr> assignments;
-  std::vector<std::string> order;
-  constraint::System resolved;
-  /// Fixed symbols of the unified system (-> ParallelPlan::externalSymbols).
-  std::set<std::string> fixedSymbols;
+  Solved solved;
 };
 
 /// Thread-safe LRU cache keyed on the canonical constraint-graph hash.

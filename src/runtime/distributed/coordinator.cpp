@@ -39,14 +39,6 @@ std::string fieldKey(const std::string& region, const std::string& field) {
   return region + "." + field;
 }
 
-const ir::Stmt* findStmt(const parallelize::PlannedLoop& loop, int stmtId) {
-  const ir::Stmt* found = nullptr;
-  loop.loop->forEachStmt([&](const ir::Stmt& s) {
-    if (s.id == stmtId) found = &s;
-  });
-  return found;
-}
-
 }  // namespace
 
 Coordinator::Coordinator(region::World& world,
@@ -448,7 +440,7 @@ void Coordinator::applyResults(const parallelize::PlannedLoop& loop,
   // sorted by target index — bitwise-identical floating-point results.
   for (std::size_t j = 0; j < n; ++j) {
     for (const ReduceSlice& rs : results[j].reduces) {
-      const ir::Stmt* stmt = findStmt(loop, static_cast<int>(rs.stmtId));
+      const ir::Stmt* stmt = loop.loop->stmt(static_cast<int>(rs.stmtId));
       DPART_CHECK(stmt != nullptr,
                   "worker result names unknown reduce stmt " +
                       std::to_string(rs.stmtId));

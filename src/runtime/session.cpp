@@ -215,10 +215,6 @@ SessionBuilder& SessionBuilder::adaptive(runtime::RebalancePolicy policy) {
 }
 
 Plan SessionBuilder::compile(region::World& world, Tracer* tracer) {
-  return compileInternal(world, tracer);
-}
-
-Plan SessionBuilder::compileInternal(region::World& world, Tracer* tracer) {
   DPART_CHECK(pieces_ > 0, "SessionBuilder::pieces() must be set (> 0)");
   auto payload = std::make_shared<Plan::Payload>();
   payload->pieces = pieces_;
@@ -241,8 +237,7 @@ Session SessionBuilder::build(region::World& world) {
 
   {
     DPART_TRACE_SPAN(impl->options.observability.tracer, "compile", "compile");
-    impl->compiled =
-        compileInternal(world, impl->options.observability.tracer);
+    impl->compiled = compile(world, impl->options.observability.tracer);
   }
 
   impl->finish(world);

@@ -165,8 +165,6 @@ class SessionBuilder {
   [[nodiscard]] Session run(region::World& world);
 
  private:
-  [[nodiscard]] Plan compileInternal(region::World& world, Tracer* tracer);
-
   ir::Program program_;
   runtime::ExecOptions options_;
   parallelize::Options compileOptions_;

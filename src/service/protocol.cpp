@@ -83,7 +83,6 @@ const char* toString(MsgType t) {
 
 void throwServiceError(ErrorCode code, const std::string& what) {
   switch (code) {
-    case ErrorCode::BadRequest: throw BadRequest(what);
     case ErrorCode::Overloaded: throw Overloaded(what);
     case ErrorCode::Infeasible: throw constraint::InfeasibleError(what);
     default: throwErrorCode(code, what);

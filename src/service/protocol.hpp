@@ -43,17 +43,6 @@ enum class MsgType : std::uint8_t {
 
 [[nodiscard]] const char* toString(MsgType t);
 
-/// Request was syntactically or semantically malformed: truncated payload,
-/// out-of-range enum value, unknown region/field/function reference,
-/// oversized region declaration, missing pieces. Never retryable as-is.
-class BadRequest : public Error {
- public:
-  explicit BadRequest(const std::string& what) : Error(what) {}
-  [[nodiscard]] ErrorCode errorCode() const noexcept override {
-    return ErrorCode::BadRequest;
-  }
-};
-
 /// The server's admission queue was full when the connection arrived. The
 /// request was not admitted; retrying after a backoff is safe.
 class Overloaded : public Error {

@@ -194,11 +194,23 @@ class TransportError : public Error {
   ErrorContext context_;
 };
 
+/// The request or configuration was malformed: truncated payload,
+/// out-of-range enum value, unknown region/field/function reference,
+/// oversized region declaration, missing pieces, or a vocabulary whose shape
+/// is invalid (constraint::Vocabulary::validate). Never retryable as-is.
+class BadRequest : public Error {
+ public:
+  explicit BadRequest(const std::string& what) : Error(what) {}
+  [[nodiscard]] ErrorCode errorCode() const noexcept override {
+    return ErrorCode::BadRequest;
+  }
+};
+
 /// Rethrows a decoded (code, what) pair as the matching taxonomy subclass —
 /// the receive half of the wire contract. Codes whose class lives above this
-/// header (NodeLoss in runtime, BadRequest/Overloaded in the service) fall
-/// through to plain Error; a decode site that speaks those codes handles
-/// them before calling this. `what` is the peer's full rendered message, so
+/// header (NodeLoss in runtime, Overloaded in the service, Infeasible in
+/// constraint) fall through to plain Error; a decode site that speaks those
+/// codes handles them before calling this. `what` is the peer's full rendered message, so
 /// no fresh ErrorContext is attached (the peer's is already baked in; a new
 /// one would stamp the local span id over the remote fault site).
 [[noreturn]] inline void throwErrorCode(ErrorCode code, const std::string& what,
@@ -214,6 +226,7 @@ class TransportError : public Error {
       throw CheckpointCorruption(what, std::move(none));
     case ErrorCode::Transport:
       throw TransportError(node, what, std::move(none));
+    case ErrorCode::BadRequest: throw BadRequest(what);
     default: throw Error(what);
   }
 }

@@ -89,6 +89,7 @@ TEST(ErrorCodeTest, ThrowErrorCodeRoundTripsTheSupportTaxonomy) {
   roundTrip(EvalFailure("unbound symbol", ctx));
   roundTrip(CheckpointCorruption("bad magic"));
   roundTrip(TransportError(4, "recv timed out"));
+  roundTrip(BadRequest("replication bounds are inverted"));
 }
 
 TEST(ErrorCodeTest, ThrowErrorCodeRestoresTheConcreteType) {

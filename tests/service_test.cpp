@@ -486,12 +486,28 @@ TEST(ServiceServer, InfeasibleVocabularyTravelsAsItsOwnCode) {
               std::string::npos);
   }
 
-  // A malformed vocabulary on the same connection is BadRequest instead.
-  PlanRequest bad = makeRequest("acme", world, makeProgram());
-  bad.vocab.affinities.push_back({"NoSuchRegion.f", "Cells.vel", true});
-  EXPECT_THROW((void)client.parallelize(bad), BadRequest);
+  // A malformed vocabulary on the same connection is BadRequest instead —
+  // the library's one validator decides, so bounds only the compiler used
+  // to check (inverted or negative replication, an affinity on a field no
+  // statement accesses) are BadRequest too, not Internal.
+  std::vector<constraint::Vocabulary> malformed(4);
+  malformed[0].affinities.push_back({"NoSuchRegion.f", "Cells.vel", true});
+  malformed[1].replications.push_back({"Cells", 2.0, 1.0});
+  malformed[2].replications.push_back({"Cells", -1.0, 0.0});
+  malformed[3].affinities.push_back({"Particles.pos", "Cells.density", true});
+  for (const constraint::Vocabulary& vocab : malformed) {
+    PlanRequest bad = makeRequest("acme", world, makeProgram());
+    bad.vocab = vocab;
+    try {
+      (void)client.parallelize(bad);
+      ADD_FAILURE() << "expected BadRequest for:\n" << bad.vocab.rendered();
+    } catch (const Error& e) {
+      EXPECT_EQ(e.errorCode(), ErrorCode::BadRequest)
+          << e.what() << "\n" << bad.vocab.rendered();
+    }
+  }
 
-  // The connection survives both failures.
+  // The connection survives every failure.
   const PlanResponse ok =
       client.parallelize(makeRequest("acme", world, makeProgram()));
   EXPECT_NE(ok.cacheKey, 0u);

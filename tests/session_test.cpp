@@ -6,10 +6,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 
 #include "ir/interp.hpp"
+#include "parallelize/solve_cache.hpp"
 #include "support/fault.hpp"
 #include "support/json.hpp"
 
@@ -142,6 +144,21 @@ TEST(Session, PlansOnceAndPersistsExecutorAcrossRuns) {
   EXPECT_EQ(session.stats().parallelLoops, 2);
 }
 
+void expectSpansMatchStats(const std::map<std::string, double>& totals,
+                           const parallelize::CompileStats& stats) {
+  auto span = [&](const char* name) {
+    auto it = totals.find(name);
+    return it == totals.end() ? 0.0 : it->second;
+  };
+  constexpr double kSlackMs = 1.0;
+  EXPECT_NEAR(span("phase.infer"), stats.inferMs, kSlackMs);
+  EXPECT_NEAR(span("phase.canon"), stats.canonMs, kSlackMs);
+  EXPECT_NEAR(span("phase.unify"), stats.unifyMs, kSlackMs);
+  EXPECT_NEAR(span("phase.relax") + span("phase.solve"), stats.solveMs,
+              kSlackMs);
+  EXPECT_NEAR(span("phase.synthesize"), stats.rewriteMs, kSlackMs);
+}
+
 TEST(Session, TraceCoversEveryLayer) {
   region::World world;
   buildWorld(world);
@@ -155,8 +172,9 @@ TEST(Session, TraceCoversEveryLayer) {
   ASSERT_NE(session.tracer(), nullptr);
   const std::set<std::string> names = spanNames(*session.tracer());
   // Analysis phases (the paper's Table 1 rows).
-  for (const char* phase : {"compile", "phase.infer", "phase.relax",
-                            "phase.unify", "phase.solve", "phase.synthesize"}) {
+  for (const char* phase :
+       {"compile", "phase.infer", "phase.relax", "phase.canon", "phase.unify",
+        "phase.solve", "phase.synthesize"}) {
     EXPECT_TRUE(names.contains(phase)) << "missing span " << phase;
   }
   // Runtime layer.
@@ -170,9 +188,30 @@ TEST(Session, TraceCoversEveryLayer) {
   EXPECT_TRUE(names.contains("dpl:equal")) << "missing dpl op span";
   EXPECT_TRUE(names.contains("dpl:image")) << "missing dpl op span";
 
-  // The trace aggregation reconstructs per-phase totals.
+  // The trace aggregation reconstructs per-phase totals, and each phase's
+  // span and CompileStats field share one boundary.
   const auto totals = session.tracer()->spanTotalsMs();
   EXPECT_GE(totals.at("compile"), totals.at("phase.infer"));
+  expectSpansMatchStats(totals, session.stats());
+
+  // A cache hit rebinds the stored solve inside phase.solve and skips
+  // unification entirely.
+  parallelize::SolveCache cache;
+  parallelize::Options copts;
+  copts.solveCache = &cache;
+  (void)Session::parallelize(makeProgram()).pieces(4).compileOptions(copts)
+      .compile(world);
+  Tracer tracer;
+  tracer.enable();
+  const Plan hit = Session::parallelize(makeProgram())
+                       .pieces(4)
+                       .compileOptions(copts)
+                       .compile(world, &tracer);
+  ASSERT_TRUE(hit.cacheHit());
+  const std::set<std::string> hitNames = spanNames(tracer);
+  EXPECT_TRUE(hitNames.contains("phase.solve"));
+  EXPECT_FALSE(hitNames.contains("phase.unify"));
+  expectSpansMatchStats(tracer.spanTotalsMs(), hit.stats());
 
   // And the whole document is valid Chrome trace JSON.
   EXPECT_NO_THROW(json::parse(session.tracer()->toChromeJson()));
