@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdio>
+#include <cstring>
+#include <ostream>
+
 #include "ir/interp.hpp"
 #include "parallelize/parallelize.hpp"
 #include "runtime/executor.hpp"
@@ -60,6 +65,29 @@ struct Config {
   bool twoReductions;
   ReduceStrategy expected;
 };
+
+// The parameter's printed form names each discovered ctest case. gtest's
+// default printer dumps the raw object bytes, padding included, and the
+// padding is uninitialized, so the names changed from one discovery to the
+// next. Print the same byte dump with the padding zeroed.
+void PrintTo(const Config& cfg, std::ostream* os) {
+  unsigned char bytes[sizeof(Config)] = {};
+  std::memcpy(bytes + offsetof(Config, op), &cfg.op, sizeof cfg.op);
+  std::memcpy(bytes + offsetof(Config, blockRelaxation), &cfg.blockRelaxation,
+              sizeof cfg.blockRelaxation);
+  std::memcpy(bytes + offsetof(Config, twoReductions), &cfg.twoReductions,
+              sizeof cfg.twoReductions);
+  std::memcpy(bytes + offsetof(Config, expected), &cfg.expected,
+              sizeof cfg.expected);
+  *os << sizeof(Config) << "-byte object <";
+  char hex[3];
+  for (std::size_t i = 0; i < sizeof(Config); ++i) {
+    if (i != 0) *os << (i % 2 == 0 ? ' ' : '-');
+    std::snprintf(hex, sizeof hex, "%02X", bytes[i]);
+    *os << hex;
+  }
+  *os << '>';
+}
 
 class ReduceStrategyTest : public ::testing::TestWithParam<Config> {};
 
