@@ -260,22 +260,21 @@ void beginProof(constraint::ProofLog& log, const region::World& world,
   }
   for (const std::string& id : world.fnIds()) {
     const region::FnDef& fn = world.fn(id);
-    const region::Index n = world.region(fn.domainRegion).size();
+    const region::BatchFn batch(world, fn);
+    const region::Run domain{0, world.region(fn.domainRegion).size()};
+    const auto n = static_cast<std::size_t>(domain.size());
     if (fn.isRangeValued()) {
+      std::vector<region::Run> runs(n);
+      batch.ranges(domain, runs);
       std::vector<std::pair<long long, long long>> table;
-      table.reserve(static_cast<std::size_t>(n));
-      for (region::Index i = 0; i < n; ++i) {
-        const region::Run run = world.evalRange(id, i);
-        table.emplace_back(run.lo, run.hi);
-      }
+      table.reserve(n);
+      for (const region::Run& run : runs) table.emplace_back(run.lo, run.hi);
       log.rangeFn(id, fn.domainRegion, fn.rangeRegion, table);
     } else {
-      std::vector<long long> table;
-      table.reserve(static_cast<std::size_t>(n));
-      for (region::Index i = 0; i < n; ++i) {
-        table.push_back(world.evalPoint(id, i));
-      }
-      log.pointFn(id, fn.domainRegion, fn.rangeRegion, table);
+      std::vector<region::Index> points(n);
+      batch.points(domain, points);
+      log.pointFn(id, fn.domainRegion, fn.rangeRegion,
+                  std::vector<long long>(points.begin(), points.end()));
     }
   }
   for (const std::string& sym : decisive.symbols()) {

@@ -102,8 +102,12 @@ Index World::evalPoint(const std::string& fnId, Index i) const {
   switch (f.kind) {
     case FnKind::Identity:
       return i;
-    case FnKind::FieldPtr:
-      return region(f.domainRegion).idx(f.field)[static_cast<std::size_t>(i)];
+    case FnKind::FieldPtr: {
+      const std::span<const Index> column = region(f.domainRegion).idx(f.field);
+      DPART_CHECK(i >= 0 && i < static_cast<Index>(column.size()),
+                  "evalPoint argument out of range for '" + fnId + "'");
+      return column[static_cast<std::size_t>(i)];
+    }
     case FnKind::Affine:
       return f.point(i);
     case FnKind::FieldRange:
@@ -116,7 +120,10 @@ Run World::evalRange(const std::string& fnId, Index i) const {
   const FnDef& f = fn(fnId);
   DPART_CHECK(f.kind == FnKind::FieldRange,
               "evalRange on point-valued function '" + fnId + "'");
-  return region(f.domainRegion).range(f.field)[static_cast<std::size_t>(i)];
+  const std::span<const Run> column = region(f.domainRegion).range(f.field);
+  DPART_CHECK(i >= 0 && i < static_cast<Index>(column.size()),
+              "evalRange argument out of range for '" + fnId + "'");
+  return column[static_cast<std::size_t>(i)];
 }
 
 void World::evalPointRun(const std::string& fnId, Run in,

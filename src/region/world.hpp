@@ -35,6 +35,10 @@ class BatchFn {
   /// range-valued fn.
   void ranges(Run in, std::span<Run> out) const;
 
+  /// FieldPtr: the backing Idx column (empty for other kinds). Task
+  /// kernels bind it once and bounds-check each argument themselves.
+  [[nodiscard]] std::span<const Index> idxColumn() const { return idxColumn_; }
+
  private:
   const FnDef* fn_;
   std::span<const Index> idxColumn_;  // FieldPtr: the backing column

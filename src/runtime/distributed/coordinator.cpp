@@ -436,8 +436,9 @@ void Coordinator::applyResults(const parallelize::PlannedLoop& loop,
     }
   }
   // Then buffered-reduction merges in exactly the in-process order: piece
-  // ascending, stmtId ascending (the worker emits a std::map), entries
-  // sorted by target index — bitwise-identical floating-point results.
+  // ascending, stmtId ascending, entries sorted by target index (the worker
+  // ships TaskKernel::bufferedReductions() as is) — bitwise-identical
+  // floating-point results.
   for (std::size_t j = 0; j < n; ++j) {
     for (const ReduceSlice& rs : results[j].reduces) {
       const ir::Stmt* stmt = loop.loop->stmt(static_cast<int>(rs.stmtId));

@@ -2,13 +2,11 @@
 
 #include <poll.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "ir/interp.hpp"
 #include "runtime/distributed/wire.hpp"
 #include "runtime/task_exec.hpp"
 #include "support/check.hpp"
@@ -88,18 +86,17 @@ ResultMsg runTask(const WorkerConfig& cfg, const TaskMsg& task) {
 
   applyRefresh(*cfg.world, task.refresh);
 
-  // Ownership guards, hooks and footprints are derived exactly as in the
-  // in-process path — from the same (fork-inherited) partitions, so both
-  // backends make identical write/skip decisions.
+  // Ownership guards, write rules and footprints are derived exactly as in
+  // the in-process path — from the same (fork-inherited) partitions, so
+  // both backends make identical write/skip decisions.
   std::vector<IndexSet> ownership;
   const bool needOwnership = hasCenteredWrite(*loop) && !iter.isDisjoint();
   if (needOwnership) ownership = disjointify(iter);
   const IndexSet* own = needOwnership ? &ownership[j] : nullptr;
 
   TaskFootprint footprint = buildFootprint(*cfg.world, *loop, j, env, own);
-  TaskHooks hooks(*loop, j, env, cfg.validateAccesses, own);
-  ir::LoopRunner runner(*cfg.world, *loop->loop);
-  runner.run(iter.sub(j), &hooks);
+  TaskKernel kernel(*cfg.world, *loop, j, env, cfg.validateAccesses, own);
+  kernel.run(iter.sub(j));
 
   ResultMsg result;
   result.seq = task.seq;
@@ -115,15 +112,13 @@ ResultMsg runTask(const WorkerConfig& cfg, const TaskMsg& task) {
     });
     result.writes.push_back(std::move(slice));
   }
-  // reduces() is a std::map keyed by stmt id, so slices arrive sorted the
-  // way the deterministic merge iterates them.
-  for (auto& [stmtId, st] : hooks.reduces()) {
-    if (st.buffer.empty()) continue;
+  // Slices arrive in stmt id order, entries sorted by target: the order
+  // the deterministic merge applies them in.
+  for (BufferedReduce& br : kernel.bufferedReductions()) {
     ReduceSlice rs;
-    rs.stmtId = stmtId;
-    rs.op = static_cast<std::uint8_t>(st.op);
-    rs.entries.assign(st.buffer.begin(), st.buffer.end());
-    std::sort(rs.entries.begin(), rs.entries.end());
+    rs.stmtId = br.stmtId;
+    rs.op = static_cast<std::uint8_t>(br.op);
+    rs.entries = std::move(br.entries);
     result.reduces.push_back(std::move(rs));
   }
   result.taskSeconds = timer.seconds();

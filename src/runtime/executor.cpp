@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 
 #include "runtime/distributed/coordinator.hpp"
 #include "runtime/task_exec.hpp"
@@ -13,7 +12,6 @@
 namespace dpart::runtime {
 
 using optimize::ReduceStrategy;
-using region::Index;
 using region::IndexSet;
 using region::Partition;
 
@@ -174,8 +172,7 @@ void PlanExecutor::runLoop(const parallelize::PlannedLoop& loop) {
   const bool needOwnership = hasCenteredWrite(loop) && !iter.isDisjoint();
   if (needOwnership) ownership = disjointify(iter);
 
-  ir::LoopRunner runner(world_, *loop.loop);
-  std::vector<std::unique_ptr<TaskHooks>> hooks(pieces_);
+  std::vector<std::unique_ptr<TaskKernel>> kernels(pieces_);
   const auto& env = partitions();
   // Per-piece task CPU seconds for this launch — the adaptive
   // repartitioner's cost signal. Thread CPU time, not wall time: on an
@@ -225,8 +222,8 @@ void PlanExecutor::runLoop(const parallelize::PlannedLoop& loop) {
     if (options_.resilience.taskReplay) footprint.capture();
 
     for (int attempt = 0;; ++attempt) {
-      hooks[j] = std::make_unique<TaskHooks>(loop, j, env,
-                                             options_.validateAccesses, own);
+      kernels[j] = std::make_unique<TaskKernel>(
+          world_, loop, j, env, options_.validateAccesses, own);
       try {
         if (injector != nullptr) {
           if (auto fault = injector->fire(nodeSite);
@@ -236,7 +233,7 @@ void PlanExecutor::runLoop(const parallelize::PlannedLoop& loop) {
             // NodeLossError (not TaskFailure) so in-place replay cannot
             // catch it — only a checkpoint restore with the node removed
             // recovers.
-            runner.run(prefixOf(iters, fault->magnitude), hooks[j].get());
+            kernels[j]->run(prefixOf(iters, fault->magnitude));
             ErrorContext ctx;
             ctx.site = nodeSite;
             ctx.loop = loop.loop->name;
@@ -267,13 +264,13 @@ void PlanExecutor::runLoop(const parallelize::PlannedLoop& loop) {
               case FaultKind::Crash:
                 // Execute a deterministic prefix, then die mid-task,
                 // leaving region state genuinely half-mutated.
-                runner.run(prefixOf(iters, fault->magnitude), hooks[j].get());
+                kernels[j]->run(prefixOf(iters, fault->magnitude));
                 throw TaskFailure("injected fault: task crashed mid-run",
                                   std::move(ctx));
               case FaultKind::PermanentCrash:
                 // Same death as at the node site, for callers that arm
                 // "task:..." directly.
-                runner.run(prefixOf(iters, fault->magnitude), hooks[j].get());
+                kernels[j]->run(prefixOf(iters, fault->magnitude));
                 throw NodeLossError(nodeId,
                                     "injected fault: node lost permanently",
                                     std::move(ctx));
@@ -282,7 +279,7 @@ void PlanExecutor::runLoop(const parallelize::PlannedLoop& loop) {
             }
           }
         }
-        runner.run(iters, hooks[j].get());
+        kernels[j]->run(iters);
         break;
       } catch (const TaskFailure& failure) {
         countError("TaskFailure");
@@ -327,20 +324,14 @@ void PlanExecutor::runLoop(const parallelize::PlannedLoop& loop) {
 
   // Merge reduction buffers in task order (deterministic).
   for (std::size_t j = 0; j < pieces_; ++j) {
-    for (auto& [stmtId, st] : hooks[j]->reduces()) {
-      if (st.buffer.empty()) continue;
-      const ir::Stmt* stmt = loop.loop->stmt(stmtId);
-      DPART_CHECK(stmt != nullptr);
+    for (const BufferedReduce& br : kernels[j]->bufferedReductions()) {
+      const ir::Stmt* stmt = loop.loop->stmt(br.stmtId);
       auto field = world_.region(stmt->region).f64(stmt->field);
-      // Sort for determinism across unordered_map iteration orders.
-      std::vector<std::pair<Index, double>> entries(st.buffer.begin(),
-                                                    st.buffer.end());
-      std::sort(entries.begin(), entries.end());
-      for (const auto& [target, value] : entries) {
+      for (const auto& [target, value] : br.entries) {
         double& cell = field[static_cast<std::size_t>(target)];
-        cell = ir::applyReduce(st.op, cell, value);
+        cell = ir::applyReduce(br.op, cell, value);
       }
-      bufferedElements_ += entries.size();
+      bufferedElements_ += br.entries.size();
     }
   }
 

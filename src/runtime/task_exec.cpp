@@ -12,91 +12,92 @@ using region::Index;
 using region::IndexSet;
 using region::Partition;
 
-TaskHooks::TaskHooks(const parallelize::PlannedLoop& loop, std::size_t piece,
-                     const std::map<std::string, Partition>& env,
-                     bool validate, const IndexSet* ownership)
-    : loop_(loop), piece_(piece), env_(env), validate_(validate),
-      ownership_(ownership) {
-  for (const auto& [stmtId, rp] : loop.reduces) {
-    ReduceState st;
-    st.strategy = rp.strategy;
-    if (rp.strategy == ReduceStrategy::Guarded) {
-      st.guard = &env.at(rp.partition).sub(piece);
-    } else if (rp.strategy == ReduceStrategy::PrivateSplit) {
-      st.privSet = &env.at(rp.privatePart).sub(piece);
+namespace {
+
+std::size_t stmtSlots(const ir::Loop& loop) {
+  std::size_t n = 0;
+  loop.forEachStmt([&](const ir::Stmt& s) {
+    DPART_CHECK(s.id >= 0, "unnumbered stmt in loop " + loop.name);
+    n = std::max(n, static_cast<std::size_t>(s.id) + 1);
+  });
+  return n;
+}
+
+/// Task j's rule for every access statement of the loop.
+ir::TaskRules taskRules(const parallelize::PlannedLoop& loop, std::size_t j,
+                        const std::map<std::string, Partition>& env,
+                        bool validate, const IndexSet* ownership,
+                        std::vector<ir::ReduceBuffer>& buffers) {
+  static const IndexSet kNowhere;  // Buffered: nothing applies in place
+  ir::TaskRules rules;
+  rules.piece = static_cast<int>(j);
+  rules.byStmt.resize(buffers.size());
+  loop.loop->forEachStmt([&](const ir::Stmt& s) {
+    if (!ir::isAccess(s.kind)) return;
+    const auto id = static_cast<std::size_t>(s.id);
+    ir::AccessRule& rule = rules.byStmt[id];
+    auto rit = s.kind == ir::StmtKind::ReduceF64 ? loop.reduces.find(s.id)
+                                                 : loop.reduces.end();
+    const bool guarded = rit != loop.reduces.end() &&
+                         rit->second.strategy == ReduceStrategy::Guarded;
+    if (rit == loop.reduces.end()) {
+      // Centered store / reduction: ownership-guarded under aliased
+      // iteration, so a duplicated iteration writes once. Loads have no
+      // write rule.
+      rule.applyIf = ownership;
+    } else {
+      switch (rit->second.strategy) {
+        case ReduceStrategy::Direct:
+          break;
+        case ReduceStrategy::Guarded:
+          rule.applyIf = &env.at(rit->second.partition).sub(j);
+          break;
+        case ReduceStrategy::Buffered:
+          rule.applyIf = &kNowhere;
+          rule.buffer = &buffers[id];
+          break;
+        case ReduceStrategy::PrivateSplit:
+          rule.applyIf = &env.at(rit->second.privatePart).sub(j);
+          rule.buffer = &buffers[id];
+          break;
+      }
     }
-    reduces_.emplace(stmtId, std::move(st));
-  }
-}
-
-void TaskHooks::onAccess(const ir::Stmt& stmt, Index target) {
-  if (!validate_) return;
-  auto it = loop_.accessPartition.find(stmt.id);
-  if (it == loop_.accessPartition.end()) {
-    ErrorContext ctx;
-    ctx.loop = loop_.loop->name;
-    ctx.stmtId = stmt.id;
-    ctx.piece = static_cast<int>(piece_);
-    throw PartitionViolation(
-        "access with no assigned partition: " + stmt.toString(),
-        std::move(ctx));
-  }
-  const IndexSet& sub = env_.at(it->second).sub(piece_);
-  // Guarded reductions may compute targets outside the task's subregion;
-  // the guard rejects them before any memory access, so only *applied*
-  // accesses are checked (handled in handleReduce).
-  auto rit = reduces_.find(stmt.id);
-  if (rit != reduces_.end() &&
-      (rit->second.strategy == ReduceStrategy::Guarded)) {
-    return;
-  }
-  if (!sub.contains(target)) {
-    ErrorContext ctx;
-    ctx.loop = loop_.loop->name;
-    ctx.partition = it->second;
-    ctx.field = stmt.region + "." + stmt.field;
-    ctx.stmtId = stmt.id;
-    ctx.index = target;
-    ctx.piece = static_cast<int>(piece_);
-    throw PartitionViolation(
-        "illegal access: " + stmt.toString() + " touches index " +
-            std::to_string(target) + " outside subregion " +
-            std::to_string(piece_) + " of " + it->second,
-        std::move(ctx));
-  }
-}
-
-bool TaskHooks::shouldWrite(const ir::Stmt&, Index target) {
-  return ownership_ == nullptr || ownership_->contains(target);
-}
-
-bool TaskHooks::handleReduce(const ir::Stmt& stmt, Index target,
-                             double value) {
-  auto it = reduces_.find(stmt.id);
-  if (it == reduces_.end()) {
-    // Centered reduction: ownership-guarded under aliased iteration.
-    if (ownership_ != nullptr && !ownership_->contains(target)) {
-      return true;  // another task owns this duplicated iteration
+    if (!validate) return;
+    auto ait = loop.accessPartition.find(s.id);
+    if (ait == loop.accessPartition.end()) {
+      rule.check = ir::AccessRule::Check::Unassigned;
+    } else if (!guarded) {
+      // Guarded reductions may compute targets outside the task's
+      // subregion; the guard rejects them before any memory access.
+      rule.check = ir::AccessRule::Check::InSet;
+      rule.required = &env.at(ait->second).sub(j);
+      rule.partition = ait->second;
     }
-    return false;
+  });
+  return rules;
+}
+
+}  // namespace
+
+TaskKernel::TaskKernel(region::World& world,
+                       const parallelize::PlannedLoop& loop, std::size_t piece,
+                       const std::map<std::string, Partition>& env,
+                       bool validate, const IndexSet* ownership)
+    : loop_(loop),
+      buffers_(stmtSlots(*loop.loop)),
+      runner_(world, *loop.loop,
+              taskRules(loop, piece, env, validate, ownership, buffers_)) {}
+
+std::vector<BufferedReduce> TaskKernel::bufferedReductions() const {
+  std::vector<BufferedReduce> out;
+  for (std::size_t id = 0; id < buffers_.size(); ++id) {
+    if (buffers_[id].empty()) continue;
+    const ir::Stmt* stmt = loop_.loop->stmt(static_cast<int>(id));
+    DPART_CHECK(stmt != nullptr);
+    out.push_back(BufferedReduce{static_cast<int>(id), stmt->op,
+                                 buffers_[id].sorted()});
   }
-  ReduceState& st = it->second;
-  st.op = stmt.op;
-  switch (st.strategy) {
-    case ReduceStrategy::Direct:
-      return false;
-    case ReduceStrategy::Guarded:
-      return !st.guard->contains(target);  // skip if not ours
-    case ReduceStrategy::Buffered:
-      break;
-    case ReduceStrategy::PrivateSplit:
-      if (st.privSet->contains(target)) return false;
-      break;
-  }
-  auto [slot, inserted] =
-      st.buffer.try_emplace(target, ir::reduceIdentity(stmt.op));
-  slot->second = ir::applyReduce(stmt.op, slot->second, value);
-  return true;
+  return out;
 }
 
 std::vector<IndexSet> disjointify(const Partition& p) {

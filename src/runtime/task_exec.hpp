@@ -5,7 +5,7 @@
 #include <map>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ir/interp.hpp"
@@ -22,38 +22,42 @@ namespace dpart::runtime {
 /// observable effect, and the two backends are required to produce bitwise
 /// identical fields (tests/distributed_exec_test.cpp enforces it).
 
-/// Per-task execution hooks implementing the plan's reduction strategies and
-/// (optionally) access validation.
-class TaskHooks final : public ir::ExecHooks {
+/// One task's buffered contributions to one reduce statement, ready to
+/// merge: entries in ascending target order.
+struct BufferedReduce {
+  int stmtId = -1;
+  ir::ReduceOp op = ir::ReduceOp::Sum;
+  std::vector<std::pair<region::Index, double>> entries;
+};
+
+/// One task of one launch, lowered: the loop's kernel (ir::LoopRunner)
+/// bound to the task's per-statement rules. Each reduce strategy maps onto
+/// one rule — Direct writes every target; Guarded writes its guard subregion
+/// and skips the rest; Buffered writes nothing in place and buffers every
+/// contribution; PrivateSplit writes its private subregion and buffers the
+/// rest — and centered writes under an aliased iteration partition write
+/// only the task's ownership set. With `validate`, every executed access
+/// must land in its access partition's subregion (Guarded reductions are
+/// checked by their guard instead); a violation throws PartitionViolation.
+class TaskKernel {
  public:
-  struct ReduceState {
-    optimize::ReduceStrategy strategy = optimize::ReduceStrategy::Direct;
-    const region::IndexSet* guard = nullptr;  // Guarded: reduction subregion
-    const region::IndexSet* privSet = nullptr;  // PrivateSplit: private sub
-    std::unordered_map<region::Index, double> buffer;
-    ir::ReduceOp op = ir::ReduceOp::Sum;
-  };
+  TaskKernel(region::World& world, const parallelize::PlannedLoop& loop,
+             std::size_t piece,
+             const std::map<std::string, region::Partition>& env,
+             bool validate, const region::IndexSet* ownership);
 
-  TaskHooks(const parallelize::PlannedLoop& loop, std::size_t piece,
-            const std::map<std::string, region::Partition>& env, bool validate,
-            const region::IndexSet* ownership);
+  /// Runs the given iterations (the task's subregion, or a prefix of it),
+  /// filling the reduction buffers.
+  void run(const region::IndexSet& iters) { runner_.run(iters); }
 
-  void onAccess(const ir::Stmt& stmt, region::Index target) override;
-  bool shouldWrite(const ir::Stmt&, region::Index target) override;
-  bool handleReduce(const ir::Stmt& stmt, region::Index target,
-                    double value) override;
-
-  /// Reduction state per reduce statement, keyed (and therefore iterated)
-  /// in ascending stmt id order — the order the buffer merge relies on.
-  std::map<int, ReduceState>& reduces() { return reduces_; }
+  /// The non-empty reduction buffers in ascending stmt id order — the
+  /// deterministic order both backends merge them in.
+  [[nodiscard]] std::vector<BufferedReduce> bufferedReductions() const;
 
  private:
   const parallelize::PlannedLoop& loop_;
-  std::size_t piece_;
-  const std::map<std::string, region::Partition>& env_;
-  bool validate_;
-  const region::IndexSet* ownership_;
-  std::map<int, ReduceState> reduces_;
+  std::vector<ir::ReduceBuffer> buffers_;  // indexed by stmt id
+  ir::LoopRunner runner_;
 };
 
 /// One task's in-place write footprint: for every (region, field) the task

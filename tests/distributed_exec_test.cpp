@@ -192,6 +192,32 @@ TEST(DistributedExec, PipelineMatchesInProcessBitwise) {
   }
 }
 
+/// The worker validates accesses with the same task kernel: a plan whose
+/// access partition misses the ghost element fails the launch with the
+/// worker's PartitionViolation.
+TEST(DistributedExec, ValidateAccessesCatchesIllegalPlans) {
+  DPART_SKIP_UNDER_TSAN();
+  World world;
+  world.addRegion("R", 8).addField("a", FieldType::F64);
+  world.region("R").addField("b", FieldType::F64);
+  world.defineAffineFn("next", "R", "R", [](Index i) { return (i + 1) % 8; });
+  ir::Program prog;
+  ir::LoopBuilder b("shift", "i", "R");
+  b.apply("j", "next", "i");
+  b.loadF64("x", "R", "a", "j");
+  b.store("R", "b", "i", "x");
+  prog.loops.push_back(b.build());
+  parallelize::AutoParallelizer ap(world);
+  parallelize::ParallelPlan plan = ap.plan(prog);
+  for (auto& [stmtId, sym] : plan.loops[0].accessPartition) {
+    sym = plan.loops[0].iterPartition;
+  }
+  ExecOptions opts = backendOptions(ExecBackend::MultiProcess);
+  opts.validateAccesses = true;
+  PlanExecutor exec(world, plan, kPieces, opts);
+  EXPECT_THROW(exec.run(), PartitionViolation);
+}
+
 TEST(DistributedExec, SkewedSpmvMatchesInProcessBitwise) {
   DPART_SKIP_UNDER_TSAN();
   apps::SpmvApp::Params p;

@@ -167,40 +167,60 @@ TEST_F(InterpTest, InnerLoopOverRanges) {
   EXPECT_EQ(total[1], 3.0 + 4 + 5 + 6 + 7);
 }
 
-TEST_F(InterpTest, HooksObserveAndGuard) {
-  struct CountingHooks : ExecHooks {
-    int accesses = 0;
-    int reducesHandled = 0;
-    void onAccess(const Stmt&, Index) override { ++accesses; }
-    bool handleReduce(const Stmt&, Index, double) override {
-      ++reducesHandled;
-      return true;  // swallow all reductions
-    }
-  };
+TEST_F(InterpTest, RulesObserveAndGuard) {
   LoopBuilder b("acc", "i", "R");
   b.loadF64("x", "R", "a", "i");
   b.reduce("R", "b", "i", "x");
   Loop loop = b.build();
-  LoopRunner runner(world, loop);
-  CountingHooks hooks;
-  runner.runAll(&hooks);
-  EXPECT_EQ(hooks.accesses, 16);        // one load + one reduce per element
-  EXPECT_EQ(hooks.reducesHandled, 8);
+  // Every reduction is swallowed into the task buffer: nothing applies in
+  // place.
+  const IndexSet nowhere;
+  ReduceBuffer buffer;
+  TaskRules rules;
+  rules.byStmt.resize(2);
+  rules.byStmt[1].applyIf = &nowhere;
+  rules.byStmt[1].buffer = &buffer;
+  LoopRunner runner(world, loop, rules);
+  runner.runAll();
+  EXPECT_EQ(buffer.sorted().size(), 8u);
   auto bcol = world.region("R").f64("b");
-  EXPECT_EQ(bcol[5], 0.0);  // reductions were swallowed by the hook
+  EXPECT_EQ(bcol[5], 0.0);  // reductions were swallowed by the rule
+
+  // Every access is checked: a required set missing only the last element
+  // passes the first seven elements and rejects the eighth, for the load
+  // and the reduce alike.
+  const IndexSet first7 = IndexSet::interval(0, 7);
+  for (int stmt : {0, 1}) {
+    TaskRules check;
+    check.piece = 0;
+    check.byStmt.resize(2);
+    check.byStmt[static_cast<std::size_t>(stmt)].check =
+        AccessRule::Check::InSet;
+    check.byStmt[static_cast<std::size_t>(stmt)].required = &first7;
+    check.byStmt[static_cast<std::size_t>(stmt)].partition = "P";
+    LoopRunner checked(world, loop, check);
+    try {
+      checked.runAll();
+      ADD_FAILURE() << "access outside the required set not caught";
+    } catch (const PartitionViolation& e) {
+      EXPECT_EQ(e.context().stmtId, stmt);
+      EXPECT_EQ(e.context().index, 7);
+      EXPECT_EQ(e.context().partition, "P");
+    }
+  }
 }
 
 TEST_F(InterpTest, WriteGuardSkipsNonOwned) {
-  struct OwnerHooks : ExecHooks {
-    bool shouldWrite(const Stmt&, Index t) override { return t % 2 == 0; }
-  };
   LoopBuilder b("copy", "i", "R");
   b.loadF64("x", "R", "a", "i");
   b.store("R", "b", "i", "x");
   Loop loop = b.build();
-  LoopRunner runner(world, loop);
-  OwnerHooks hooks;
-  runner.runAll(&hooks);
+  const IndexSet owned{0, 2, 4, 6};
+  TaskRules rules;
+  rules.byStmt.resize(2);
+  rules.byStmt[1].applyIf = &owned;
+  LoopRunner runner(world, loop, rules);
+  runner.runAll();
   auto bcol = world.region("R").f64("b");
   EXPECT_EQ(bcol[2], 2.0);
   EXPECT_EQ(bcol[3], 0.0);
@@ -215,6 +235,110 @@ TEST_F(InterpTest, OutOfBoundsAccessThrows) {
   Loop loop = b.build();
   LoopRunner runner(world, loop);
   EXPECT_THROW(runner.runAll(), Error);
+}
+
+TEST_F(InterpTest, OutOfBoundsFieldFnThrows) {
+  world.region("R").addField("ptr", FieldType::Idx);
+  const std::string ptr = world.defineFieldFn("R", "ptr", "R").id;
+  world.defineAffineFn("oob", "R", "R", [](Index i) { return i + 100; });
+  LoopBuilder b("bad", "i", "R");
+  b.apply("j", "oob", "i");
+  b.apply("k", ptr, "j");
+  b.loadF64("x", "R", "a", "k");
+  b.store("R", "b", "i", "x");
+  Loop loop = b.build();
+  LoopRunner runner(world, loop);
+  EXPECT_THROW(runner.runAll(), Error);
+}
+
+// ---- Lowering ----
+
+TEST_F(InterpTest, AliasOfEachSlotType) {
+  auto& rows = world.addRegion("Rows", 2);
+  rows.addField("span", FieldType::Range);
+  rows.addField("total", FieldType::F64);
+  rows.range("span")[0] = region::Run{0, 3};
+  rows.range("span")[1] = region::Run{3, 8};
+  LoopBuilder b("aliases", "i", "Rows");
+  b.alias("row", "i");                // index
+  b.loadRange("rg", "Rows", "span", "row");
+  b.alias("rg2", "rg");               // run
+  b.beginInner("k", "rg2");
+  b.loadF64("v", "R", "a", "k");
+  b.alias("w", "v");                  // f64
+  b.reduce("Rows", "total", "row", "w");
+  b.endInner();
+  Loop loop = b.build();
+  LoopRunner runner(world, loop);
+  runner.runAll();
+  auto total = world.region("Rows").f64("total");
+  EXPECT_EQ(total[0], 0.0 + 1 + 2);
+  EXPECT_EQ(total[1], 3.0 + 4 + 5 + 6 + 7);
+}
+
+TEST_F(InterpTest, ApplyFnOfEachKind) {
+  auto& r = world.region("R");
+  r.addField("ptr", FieldType::Idx);
+  auto ptr = r.idx("ptr");
+  for (Index i = 0; i < 8; ++i) ptr[static_cast<std::size_t>(i)] = 7 - i;
+  const std::string field = world.defineFieldFn("R", "ptr", "R").id;
+  world.defineAffineFn("next", "R", "R", [](Index i) { return (i + 1) % 8; });
+  // b[i] = a[id(i)] + 10 a[ptr(i)] + 100 a[next(i)]
+  LoopBuilder b("fns", "i", "R");
+  b.apply("p", region::kIdentityFnId, "i");
+  b.apply("q", field, "i");
+  b.apply("n", "next", "i");
+  b.loadF64("x", "R", "a", "p");
+  b.loadF64("y", "R", "a", "q");
+  b.loadF64("z", "R", "a", "n");
+  b.compute("v", {"x", "y", "z"},
+            [](auto v) { return v[0] + 10 * v[1] + 100 * v[2]; });
+  b.store("R", "b", "i", "v");
+  Loop loop = b.build();
+  LoopRunner runner(world, loop);
+  runner.runAll();
+  auto bcol = world.region("R").f64("b");
+  for (Index i = 0; i < 8; ++i) {
+    EXPECT_EQ(bcol[static_cast<std::size_t>(i)],
+              double(i) + 10.0 * double(7 - i) + 100.0 * double((i + 1) % 8));
+  }
+}
+
+TEST_F(InterpTest, ComputeArity) {
+  // 0 arguments, and 10 (more than any small fixed buffer would hold).
+  LoopBuilder b("arity", "i", "R");
+  b.compute("one", {}, [](auto v) { return double(v.size()) + 1.0; });
+  b.loadF64("x", "R", "a", "i");
+  std::vector<std::string> args(10, "x");
+  args[9] = "one";
+  b.compute("sum", args, [](auto v) {
+    double s = 0;
+    for (double d : v) s += d;
+    return s + 100.0 * double(v.size());
+  });
+  b.store("R", "b", "i", "sum");
+  Loop loop = b.build();
+  LoopRunner runner(world, loop);
+  runner.runAll();
+  auto bcol = world.region("R").f64("b");
+  for (Index i = 0; i < 8; ++i) {
+    EXPECT_EQ(bcol[static_cast<std::size_t>(i)], 9.0 * double(i) + 1001.0);
+  }
+}
+
+TEST_F(InterpTest, VariableAtTwoTypesRejected) {
+  LoopBuilder b("mixed", "i", "R");
+  b.loadF64("x", "R", "a", "i");
+  b.apply("x", region::kIdentityFnId, "i");
+  Loop loop = b.build();
+  try {
+    LoopRunner runner(world, loop);
+    ADD_FAILURE() << "variable defined at two types was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'mixed'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'x'"), std::string::npos) << what;
+  }
 }
 
 TEST_F(InterpTest, RunSerialExecutesAllLoops) {

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "runtime/privileges.hpp"
+#include "runtime/task_exec.hpp"
 
 namespace dpart::runtime {
 namespace {
@@ -159,7 +160,36 @@ TEST(Executor, ValidateAccessesCatchesIllegalPlans) {
   ExecOptions opts;
   opts.validateAccesses = true;
   PlanExecutor exec(world, plan, 4, opts);
-  EXPECT_THROW(exec.run(), Error);
+  EXPECT_THROW(exec.run(), PartitionViolation);
+}
+
+TEST(Executor, UnassignedAccessThrowsWhenItExecutes) {
+  World world;
+  world.addRegion("R", 8).addField("a", FieldType::F64);
+  world.region("R").addField("b", FieldType::F64);
+  ir::Program prog;
+  ir::LoopBuilder b("copy", "i", "R");
+  b.loadF64("x", "R", "a", "i");
+  b.store("R", "b", "i", "x");
+  prog.loops.push_back(b.build());
+  parallelize::AutoParallelizer ap(world);
+  const parallelize::ParallelPlan plan = ap.plan(prog);
+  PlanExecutor exec(world, plan, 2);
+  exec.preparePartitions();
+
+  parallelize::PlannedLoop loop = plan.loops[0];
+  loop.accessPartition.erase(0);  // the load of R[i].a
+  // Setup and an empty run pass: the violation belongs to the access.
+  TaskKernel kernel(world, loop, 1, exec.partitions(), true, nullptr);
+  EXPECT_NO_THROW(kernel.run(IndexSet{}));
+  try {
+    kernel.run(exec.partition(loop.iterPartition).sub(1));
+    ADD_FAILURE() << "unassigned access was not caught";
+  } catch (const PartitionViolation& e) {
+    EXPECT_EQ(e.context().loop, "copy");
+    EXPECT_EQ(e.context().stmtId, 0);
+    EXPECT_EQ(e.context().piece, 1);
+  }
 }
 
 TEST(Executor, RunIsRepeatable) {
