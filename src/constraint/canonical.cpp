@@ -1,8 +1,6 @@
 #include "constraint/canonical.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "support/check.hpp"
@@ -296,11 +294,7 @@ struct Canonicalizer {
 
   /// One refinement round over the compiled conjuncts; returns the
   /// partition (node -> class rank).
-  std::size_t rounds = 0;
-  std::size_t individualizations = 0;
-
   std::vector<std::size_t> refineRound() {
-    ++rounds;
     const std::uint64_t atLoop = fnv64("@loop");
     const std::uint64_t rf = fnv64("rf");
     touches.resize(nodes.size());
@@ -380,7 +374,6 @@ struct Canonicalizer {
           std::find_if(classes.begin(), classes.end(),
                        [](const auto& c) { return c.second.size() > 1; });
       if (tied == classes.end()) return;
-      ++individualizations;
       color[tied->second.front()] =
           mix(color[tied->second.front()], fnv64("indiv"));
       part = refineToFixpoint();
@@ -598,19 +591,6 @@ CanonicalForm canonicalize(const std::vector<CanonicalLoop>& loops,
   c.initColors();
   c.compileAllConjuncts();
   c.individualize();
-  if (std::getenv("DPART_CANON_DEBUG") != nullptr) {
-    std::size_t tokens = 0;
-    std::size_t mentions = 0;
-    for (const auto& cj : c.conjuncts) {
-      tokens += cj.tokens.size();
-      mentions += cj.mentions.size();
-    }
-    std::fprintf(stderr,
-                 "canonicalize: nodes=%zu conjuncts=%zu tokens=%zu "
-                 "mentions=%zu rounds=%zu indiv=%zu\n",
-                 c.nodes.size(), c.conjuncts.size(), tokens, mentions,
-                 c.rounds, c.individualizations);
-  }
   return c.finish();
 }
 

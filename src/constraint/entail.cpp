@@ -266,15 +266,14 @@ std::string checkResolved(const System& system,
   Entailment ent(system, rangeFns);
   for (const Pred& p : system.preds()) {
     if (p.assumed) continue;
-    ent.excludeConjunct(p.toString());
+    ent.excludeConjunct(p);
     if (!ent.prove(p)) return p.toString();
   }
   for (const Subset& sc : system.subsets()) {
     if (sc.assumed) continue;
-    ent.excludeConjunct(sc.toString());
+    ent.excludeConjunct(sc);
     if (!ent.prove(sc)) return sc.toString();
   }
-  ent.excludeConjunct("");
   return "";
 }
 

@@ -36,9 +36,18 @@ class Entailment {
   /// Region a ground expression partitions, where derivable ("" otherwise).
   [[nodiscard]] std::string regionOf(const ExprPtr& e) const;
 
-  /// Excludes one conjunct (by its printed form) from the hypothesis set —
-  /// Algorithm 2's leaf check proves each conjunct from the *others*.
-  void excludeConjunct(std::string printed) { excluded_ = std::move(printed); }
+  /// Excludes one conjunct (and every structurally identical one, see
+  /// Pred::sameAs) from the hypothesis set — Algorithm 2's leaf check
+  /// proves each conjunct from the *others*. The conjunct must outlive the
+  /// proofs made under the exclusion.
+  void excludeConjunct(const Pred& p) {
+    excludedPred_ = &p;
+    excludedSubset_ = nullptr;
+  }
+  void excludeConjunct(const Subset& s) {
+    excludedPred_ = nullptr;
+    excludedSubset_ = &s;
+  }
 
  private:
   [[nodiscard]] bool pointFn(const std::string& fnId) const {
@@ -51,15 +60,17 @@ class Entailment {
   // Assumed (user-asserted) conjuncts are always usable as hypotheses;
   // only the proof obligation itself is excluded.
   [[nodiscard]] bool usable(const Pred& p) const {
-    return p.assumed || excluded_.empty() || p.toString() != excluded_;
+    return p.assumed || excludedPred_ == nullptr || !p.sameAs(*excludedPred_);
   }
   [[nodiscard]] bool usable(const Subset& s) const {
-    return s.assumed || excluded_.empty() || s.toString() != excluded_;
+    return s.assumed || excludedSubset_ == nullptr ||
+           !s.sameAs(*excludedSubset_);
   }
 
   const System& hyp_;
   std::set<std::string> rangeFns_;
-  std::string excluded_;
+  const Pred* excludedPred_ = nullptr;
+  const Subset* excludedSubset_ = nullptr;
 };
 
 /// Checks Algorithm 2's leaf condition: every non-assumed ground conjunct of

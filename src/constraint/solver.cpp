@@ -1,6 +1,7 @@
 #include "constraint/solver.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "constraint/entail.hpp"
 #include "constraint/proof.hpp"
@@ -209,11 +210,12 @@ bool Solver::searchNode(const std::map<std::string, ExprPtr>& partial,
     return false;
   }
 
-  std::set<std::string> tried;  // avoid retrying identical equalities
+  // Avoid retrying structurally identical equalities.
+  std::map<std::string, dpl::ExprSet> tried;
   for (std::size_t idx : dom.order(heuristic)) {
     if (!dom.live(idx)) continue;
     const DomainStore::Entry& entry = dom.entry(idx);
-    if (!tried.insert(entry.symbol + " = " + entry.expr->toString()).second) {
+    if (!tried[entry.symbol].insert(entry.expr).second) {
       if (proof != nullptr) proof->dedup(id, idx);
       continue;
     }
@@ -243,41 +245,6 @@ bool Solver::searchNode(const std::map<std::string, ExprPtr>& partial,
 }
 
 // ---- shared candidate generation ----------------------------------------
-
-std::vector<ExprPtr> Solver::externalCandidates(const System& c,
-                                                const std::string& region,
-                                                bool needDisj,
-                                                bool needComp) const {
-  // Closed expressions the user asserted predicates about (Section 3.3),
-  // plus bare fixed symbols of the right region. Filter by provability of
-  // the needed predicates.
-  std::vector<ExprPtr> raw;
-  std::set<std::string> seen;
-  const std::set<std::string> open = c.openSymbols();
-  auto consider = [&](const ExprPtr& e) {
-    if (!e->closedUnder(open)) return;
-    if (!seen.insert(e->toString()).second) return;
-    raw.push_back(e);
-  };
-  for (const Pred& p : c.preds()) {
-    if (!p.assumed) continue;
-    consider(p.expr);
-  }
-  for (const std::string& sym : c.symbols()) {
-    if (c.isFixed(sym) && c.regionOf(sym) == region) {
-      consider(dpl::symbol(sym));
-    }
-  }
-  Entailment ent(c, rangeFns_);
-  std::vector<ExprPtr> out;
-  for (const ExprPtr& e : raw) {
-    if (!ent.provePart(e, region)) continue;
-    if (needDisj && !ent.proveDisj(e)) continue;
-    if (needComp && !ent.proveComp(e, region)) continue;
-    out.push_back(e);
-  }
-  return out;
-}
 
 std::vector<Solver::Candidate> Solver::candidates(const System& c) const {
   std::vector<Candidate> cands;
@@ -316,7 +283,49 @@ std::vector<Solver::Candidate> Solver::candidates(const System& c) const {
 
   // Rule 3 (lines 19-27): DISJ symbols then COMP symbols, deepest first.
   // Externally provided partitions are preferred over fresh equal(R)
-  // (partition reuse, Section 3.3).
+  // (partition reuse, Section 3.3). Its inputs depend on the node, not on
+  // the symbol being resolved, so they are computed once here: the DISJ /
+  // COMP symbol sets, the closed expressions the user asserted predicates
+  // about (deduplicated structurally, in conjunct order), one lemma engine,
+  // and the filtered external candidates per (region, DISJ, COMP) demand.
+  std::set<std::string> disjSyms;
+  std::set<std::string> compSyms;
+  std::vector<ExprPtr> asserted;
+  dpl::ExprSet assertedSeen;
+  for (const Pred& p : c.preds()) {
+    if (p.expr->kind == ExprKind::Symbol) {
+      if (p.kind == Pred::Kind::Disj) disjSyms.insert(p.expr->name);
+      if (p.kind == Pred::Kind::Comp) compSyms.insert(p.expr->name);
+    }
+    if (p.assumed && p.expr->closedUnder(open) &&
+        assertedSeen.insert(p.expr).second) {
+      asserted.push_back(p.expr);
+    }
+  }
+  Entailment ent(c, rangeFns_);
+  std::map<std::tuple<std::string, bool, bool>, std::vector<ExprPtr>>
+      externals;
+  // Asserted expressions plus bare fixed symbols of the region, filtered by
+  // provability of the needed predicates.
+  auto externalCandidates = [&](const std::string& region, bool needDisj,
+                                bool needComp) -> const std::vector<ExprPtr>& {
+    auto [it, fresh] =
+        externals.try_emplace(std::make_tuple(region, needDisj, needComp));
+    if (!fresh) return it->second;
+    std::vector<ExprPtr> raw = asserted;
+    for (const std::string& sym : c.symbols()) {
+      if (!c.isFixed(sym) || c.regionOf(sym) != region) continue;
+      ExprPtr e = dpl::symbol(sym);
+      if (!assertedSeen.contains(e)) raw.push_back(std::move(e));
+    }
+    for (const ExprPtr& e : raw) {
+      if (!ent.provePart(e, region)) continue;
+      if (needDisj && !ent.proveDisj(e)) continue;
+      if (needComp && !ent.proveComp(e, region)) continue;
+      it->second.push_back(e);
+    }
+    return it->second;
+  };
   std::vector<std::pair<int, std::string>> byDepth;
   for (const std::string& p : open) byDepth.emplace_back(c.depth(p), p);
   std::sort(byDepth.begin(), byDepth.end(),
@@ -326,12 +335,11 @@ std::vector<Solver::Candidate> Solver::candidates(const System& c) const {
             });
   auto addRule3 = [&](bool wantDisj) {
     for (const auto& [depth, p] : byDepth) {
-      const bool needDisj = c.requiresDisj(p);
-      const bool needComp = c.requiresComp(p);
+      const bool needDisj = disjSyms.contains(p);
+      const bool needComp = compSyms.contains(p);
       if (wantDisj ? !needDisj : (!needComp || needDisj)) continue;
       const std::string& region = c.regionOf(p);
-      for (const ExprPtr& e : externalCandidates(c, region, needDisj,
-                                                 needComp)) {
+      for (const ExprPtr& e : externalCandidates(region, needDisj, needComp)) {
         cands.push_back(Candidate{p, e});
       }
       cands.push_back(Candidate{p, dpl::equalOf(region)});
@@ -371,9 +379,10 @@ bool Solver::solveRec(const std::map<std::string, ExprPtr>& partial,
     return true;
   }
 
-  std::set<std::string> tried;  // avoid retrying identical equalities
+  // Avoid retrying structurally identical equalities.
+  std::map<std::string, dpl::ExprSet> tried;
   for (const Candidate& cand : candidates(c)) {
-    if (!tried.insert(cand.symbol + " = " + cand.expr->toString()).second) {
+    if (!tried[cand.symbol].insert(cand.expr).second) {
       continue;
     }
     std::map<std::string, ExprPtr> next = partial;

@@ -117,9 +117,6 @@ class Solver {
   [[nodiscard]] Solution solvePropagation(
       const std::map<std::string, ExprPtr>& initial);
   [[nodiscard]] std::vector<Candidate> candidates(const System& c) const;
-  [[nodiscard]] std::vector<ExprPtr> externalCandidates(
-      const System& c, const std::string& region, bool needDisj,
-      bool needComp) const;
 
   System system_;
   std::set<std::string> rangeFns_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_map>
 
 #include "support/check.hpp"
 
@@ -19,9 +20,49 @@ std::string Pred::toString() const {
   DPART_UNREACHABLE("bad Pred::Kind");
 }
 
+bool Pred::sameAs(const Pred& other) const {
+  return kind == other.kind && assumed == other.assumed &&
+         (kind == Kind::Disj || region == other.region) &&
+         dpl::exprEq(expr, other.expr);
+}
+
 std::string Subset::toString() const {
   return lhs->toString() + " <= " + rhs->toString();
 }
+
+bool Subset::sameAs(const Subset& other) const {
+  return assumed == other.assumed && dpl::exprEq(lhs, other.lhs) &&
+         dpl::exprEq(rhs, other.rhs);
+}
+
+namespace {
+
+// Hashes consistent with Pred::sameAs / Subset::sameAs.
+std::size_t conjunctHash(const Pred& p) {
+  return p.expr->hash * 31 + static_cast<std::size_t>(p.kind) * 2 +
+         (p.assumed ? 1 : 0);
+}
+
+std::size_t conjunctHash(const Subset& s) {
+  return (s.lhs->hash * 31 + s.rhs->hash) * 2 + (s.assumed ? 1 : 0);
+}
+
+/// Appends `c` to `out` unless a structurally identical conjunct was
+/// appended through the same `index` (out's positions bucketed by hash).
+template <typename Conjunct>
+void appendUnique(std::vector<Conjunct>& out,
+                  std::unordered_multimap<std::size_t, std::size_t>& index,
+                  Conjunct c) {
+  const std::size_t h = conjunctHash(c);
+  const auto [lo, hi] = index.equal_range(h);
+  for (auto it = lo; it != hi; ++it) {
+    if (out[it->second].sameAs(c)) return;
+  }
+  index.emplace(h, out.size());
+  out.push_back(std::move(c));
+}
+
+}  // namespace
 
 void System::declareSymbol(const std::string& name, const std::string& region,
                            bool fixed) {
@@ -114,7 +155,8 @@ System System::substituted(const std::map<std::string, ExprPtr>& subst) const {
     if (subst.contains(name)) continue;
     out.declareSymbol(name, reg, fixed_.contains(name));
   }
-  std::set<std::string> seen;
+  std::unordered_multimap<std::size_t, std::size_t> predIndex;
+  predIndex.reserve(preds_.size());
   for (const Pred& p : preds_) {
     if (p.kind == Pred::Kind::Part && p.expr->kind == dpl::ExprKind::Symbol &&
         !subst.contains(p.expr->name)) {
@@ -122,18 +164,16 @@ System System::substituted(const std::map<std::string, ExprPtr>& subst) const {
     }
     Pred q = p;
     q.expr = dpl::substitute(p.expr, subst);
-    if (seen.insert(q.toString() + (q.assumed ? "#a" : "")).second) {
-      out.preds_.push_back(std::move(q));
-    }
+    appendUnique(out.preds_, predIndex, std::move(q));
   }
+  std::unordered_multimap<std::size_t, std::size_t> subsetIndex;
+  subsetIndex.reserve(subsets_.size());
   for (const Subset& sc : subsets_) {
     Subset q = sc;
     q.lhs = dpl::substitute(sc.lhs, subst);
     q.rhs = dpl::substitute(sc.rhs, subst);
     if (dpl::exprEq(q.lhs, q.rhs)) continue;  // tautology
-    if (seen.insert(q.toString() + (q.assumed ? "#a" : "")).second) {
-      out.subsets_.push_back(std::move(q));
-    }
+    appendUnique(out.subsets_, subsetIndex, std::move(q));
   }
   return out;
 }

@@ -25,6 +25,10 @@ struct Pred {
   bool assumed = false;
 
   [[nodiscard]] std::string toString() const;
+  /// Structural identity: same kind, structurally equal expression, same
+  /// region where printed (PART/COMP) and same assumed flag — exactly when
+  /// the printed forms and the assumed flags agree.
+  [[nodiscard]] bool sameAs(const Pred& other) const;
 };
 
 /// Subset constraint E1 <= E2 (subregion-wise containment).
@@ -34,6 +38,8 @@ struct Subset {
   bool assumed = false;  ///< see Pred::assumed
 
   [[nodiscard]] std::string toString() const;
+  /// Structural identity (see Pred::sameAs).
+  [[nodiscard]] bool sameAs(const Subset& other) const;
 };
 
 /// A system of partitioning constraints over named partition symbols.
@@ -81,7 +87,8 @@ class System {
   void merge(const System& other, bool assumed = false);
 
   /// Applies a symbol substitution to every conjunct, drops tautological
-  /// subsets (E <= E), and deduplicates identical conjuncts.
+  /// subsets (E <= E), and deduplicates structurally identical conjuncts
+  /// (Pred::sameAs / Subset::sameAs), keeping first occurrences in order.
   [[nodiscard]] System substituted(
       const std::map<std::string, ExprPtr>& subst) const;
 

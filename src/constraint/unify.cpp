@@ -35,11 +35,12 @@ std::string resolveRename(const std::map<std::string, std::string>& renames,
 
 namespace {
 
-bool solvable(const System& system,
-              const std::map<std::string, dpl::ExprPtr>& initial,
-              const std::set<std::string>& rangeFns) {
-  Solver solver(system, rangeFns);
+// Unification's validity oracle; counts its Solver::solve call in `calls`.
+bool solvable(System system, const std::map<std::string, dpl::ExprPtr>& initial,
+              const std::set<std::string>& rangeFns, std::size_t& calls) {
+  Solver solver(std::move(system), rangeFns);
   solver.setMaxSteps(20000);
+  ++calls;
   return static_cast<bool>(solver.solve(initial));
 }
 
@@ -57,8 +58,7 @@ struct CandidateUnification {
 // the candidate common subgraphs.
 std::vector<CandidateUnification> commonSubgraphs(
     const System& combined, const std::vector<GraphEdge>& edgesA,
-    const std::vector<GraphEdge>& edgesB, const std::set<std::string>& nodesA,
-    const std::set<std::string>& nodesB) {
+    const std::vector<GraphEdge>& edgesB) {
   struct ProductNode {
     std::string a;
     std::string b;
@@ -88,7 +88,7 @@ std::vector<CandidateUnification> commonSubgraphs(
 
   // Union-find over product nodes, connected by matching-label edges.
   std::vector<std::size_t> parent;
-  std::function<std::size_t(std::size_t)> find = [&](std::size_t x) {
+  auto find = [&parent](std::size_t x) {
     while (parent[x] != x) x = parent[x] = parent[parent[x]];
     return x;
   };
@@ -107,8 +107,6 @@ std::vector<CandidateUnification> commonSubgraphs(
       productEdges.emplace_back(u, v);
     }
   }
-  (void)nodesA;
-  (void)nodesB;
 
   parent.resize(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) parent[i] = i;
@@ -163,9 +161,10 @@ std::pair<std::string, std::string> orient(const System& sys,
 
 }  // namespace
 
-void collapsePlainEdges(System& system,
-                        std::map<std::string, std::string>& renames,
-                        const std::set<std::string>& rangeFns) {
+std::size_t collapsePlainEdges(System& system,
+                               std::map<std::string, std::string>& renames,
+                               const std::set<std::string>& rangeFns) {
+  std::size_t solverCalls = 0;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -175,15 +174,16 @@ void collapsePlainEdges(System& system,
       if (system.isFixed(e.to)) continue;  // never eliminate a user partition
       if (!system.hasSymbol(e.from) || !system.hasSymbol(e.to)) continue;
       if (system.regionOf(e.from) != system.regionOf(e.to)) continue;
-      System trial = system;
-      trial.renameSymbol(e.to, e.from);
-      if (!solvable(trial, {}, rangeFns)) continue;
+      // renameSymbol(e.to, e.from) without first copying `system`.
+      System trial = system.substituted({{e.to, dpl::symbol(e.from)}});
+      if (!solvable(trial, {}, rangeFns, solverCalls)) continue;
       system = std::move(trial);
       renames[e.to] = e.from;
       changed = true;
       break;  // graph changed; restart scan
     }
   }
+  return solverCalls;
 }
 
 UnifyResult unifySystems(std::vector<System> systems,
@@ -210,8 +210,7 @@ UnifyResult unifySystems(std::vector<System> systems,
       merged.merge(next);
       const auto edgesA = constraintGraph(combined);
       const auto edgesB = constraintGraph(next);
-      const auto candidates = commonSubgraphs(
-          merged, edgesA, edgesB, combined.symbols(), next.symbols());
+      const auto candidates = commonSubgraphs(merged, edgesA, edgesB);
       for (const CandidateUnification& cand : candidates) {
         std::map<std::string, dpl::ExprPtr> initial;
         std::vector<std::pair<std::string, std::string>> oriented;
@@ -226,7 +225,9 @@ UnifyResult unifySystems(std::vector<System> systems,
           oriented.emplace_back(loser, survivor);
         }
         if (!valid || initial.empty()) continue;
-        if (!solvable(merged, initial, rangeFns)) continue;
+        if (!solvable(merged, initial, rangeFns, result.solverCalls)) {
+          continue;
+        }
         // Accept: apply renames to both systems.
         for (const auto& [loser, survivor] : oriented) {
           for (System* sys : {&combined, &next}) {

@@ -33,6 +33,8 @@ struct UnifyResult {
   /// Eliminated symbol -> surviving symbol, for mapping per-loop access
   /// symbols to the final unified names.
   std::map<std::string, std::string> renames;
+  /// Solver::solve calls made to validate unifications.
+  std::size_t solverCalls = 0;
 
   /// resolveRename over `renames`.
   [[nodiscard]] std::string resolve(std::string symbol) const {
@@ -43,10 +45,11 @@ struct UnifyResult {
 /// Intra-system simplification: collapses plain subset edges P <= Q between
 /// symbols of the same region by unifying Q into P when the system stays
 /// solvable (the paper's Example 4, which folds the partitions of centered
-/// accesses into the iteration-space partition).
-void collapsePlainEdges(System& system,
-                        std::map<std::string, std::string>& renames,
-                        const std::set<std::string>& rangeFns);
+/// accesses into the iteration-space partition). Returns the number of
+/// Solver::solve calls made to validate the collapses.
+std::size_t collapsePlainEdges(System& system,
+                               std::map<std::string, std::string>& renames,
+                               const std::set<std::string>& rangeFns);
 
 /// Algorithm 3 (UnifyAndSolve's unification phase): combines the given
 /// systems, greedily unifying symbols along maximal common subgraphs of

@@ -1,7 +1,7 @@
 #include "dpl/expr.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <functional>
 
 #include "support/check.hpp"
 
@@ -9,12 +9,76 @@ namespace dpart::dpl {
 
 namespace {
 
-ExprPtr make(Expr e) { return std::make_shared<const Expr>(std::move(e)); }
+std::size_t mix(std::size_t h, std::size_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+std::size_t structuralHash(const Expr& e) {
+  const std::hash<std::string> str;
+  const auto h = static_cast<std::size_t>(e.kind);
+  switch (e.kind) {
+    case ExprKind::Symbol:
+      return mix(h, str(e.name));
+    case ExprKind::Union:
+    case ExprKind::Intersect:
+    case ExprKind::Subtract:
+      return mix(mix(h, e.lhs->hash), e.rhs->hash);
+    case ExprKind::Image:
+    case ExprKind::Preimage:
+      return mix(mix(mix(h, str(e.fn)), str(e.region)), e.arg->hash);
+    case ExprKind::Equal:
+      return mix(h, str(e.region));
+  }
+  DPART_UNREACHABLE("bad ExprKind");
+}
+
+ExprPtr make(Expr e) {
+  e.hash = structuralHash(e);
+  return std::make_shared<const Expr>(std::move(e));
+}
+
+// Prints into one buffer rather than one string per node.
+void appendExpr(const Expr& e, std::string& out) {
+  auto binary = [&](const char* op) {
+    out += '(';
+    appendExpr(*e.lhs, out);
+    out += op;
+    appendExpr(*e.rhs, out);
+    out += ')';
+  };
+  switch (e.kind) {
+    case ExprKind::Symbol:
+      out += e.name;
+      return;
+    case ExprKind::Union:
+      binary(" u ");
+      return;
+    case ExprKind::Intersect:
+      binary(" n ");
+      return;
+    case ExprKind::Subtract:
+      binary(" - ");
+      return;
+    case ExprKind::Image:
+      out += "image(";
+      appendExpr(*e.arg, out);
+      out += ", " + e.fn + ", " + e.region + ')';
+      return;
+    case ExprKind::Preimage:
+      out += "preimage(" + e.region + ", " + e.fn + ", ";
+      appendExpr(*e.arg, out);
+      out += ')';
+      return;
+    case ExprKind::Equal:
+      out += "equal(" + e.region + ')';
+      return;
+  }
+}
 
 }  // namespace
 
 bool Expr::equals(const Expr& other) const {
-  if (kind != other.kind) return false;
+  if (hash != other.hash || kind != other.kind) return false;
   switch (kind) {
     case ExprKind::Symbol:
       return name == other.name;
@@ -53,40 +117,26 @@ void Expr::collectSymbols(std::set<std::string>& out) const {
 }
 
 bool Expr::closedUnder(const std::set<std::string>& openSymbols) const {
-  std::set<std::string> syms;
-  collectSymbols(syms);
-  return std::none_of(syms.begin(), syms.end(), [&](const std::string& s) {
-    return openSymbols.contains(s);
-  });
+  switch (kind) {
+    case ExprKind::Symbol:
+      return !openSymbols.contains(name);
+    case ExprKind::Union:
+    case ExprKind::Intersect:
+    case ExprKind::Subtract:
+      return lhs->closedUnder(openSymbols) && rhs->closedUnder(openSymbols);
+    case ExprKind::Image:
+    case ExprKind::Preimage:
+      return arg->closedUnder(openSymbols);
+    case ExprKind::Equal:
+      return true;
+  }
+  DPART_UNREACHABLE("bad ExprKind");
 }
 
 std::string Expr::toString() const {
-  std::ostringstream os;
-  switch (kind) {
-    case ExprKind::Symbol:
-      os << name;
-      break;
-    case ExprKind::Union:
-      os << '(' << lhs->toString() << " u " << rhs->toString() << ')';
-      break;
-    case ExprKind::Intersect:
-      os << '(' << lhs->toString() << " n " << rhs->toString() << ')';
-      break;
-    case ExprKind::Subtract:
-      os << '(' << lhs->toString() << " - " << rhs->toString() << ')';
-      break;
-    case ExprKind::Image:
-      os << "image(" << arg->toString() << ", " << fn << ", " << region << ')';
-      break;
-    case ExprKind::Preimage:
-      os << "preimage(" << region << ", " << fn << ", " << arg->toString()
-         << ')';
-      break;
-    case ExprKind::Equal:
-      os << "equal(" << region << ')';
-      break;
-  }
-  return os.str();
+  std::string out;
+  appendExpr(*this, out);
+  return out;
 }
 
 int Expr::depth() const {

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 namespace dpart::dpl {
@@ -15,7 +16,8 @@ namespace dpart::dpl {
 ///       | image(E, f, R) | preimage(R, f, E) | equal(R)
 ///
 /// Expressions are immutable and shared (hash-consing is not needed at our
-/// scale; structural equality is used instead). The generalized IMAGE /
+/// scale; structural equality is used instead, short-circuited by a
+/// structural hash every factory computes once). The generalized IMAGE /
 /// PREIMAGE of Section 4 are the same nodes with a range-valued fn — the
 /// printer renders them upper-case and the lemma engine consults the fn kind
 /// where lemmas differ (L12/L14 do not hold for range-valued fns).
@@ -40,6 +42,9 @@ class Expr {
   ExprPtr arg;         ///< Image/Preimage
   std::string fn;      ///< Image/Preimage: function id
   std::string region;  ///< Image/Preimage/Equal: region name
+  /// Structural hash, set by the factories below: structurally equal
+  /// expressions have equal hashes.
+  std::size_t hash = 0;
 
   /// Structural equality.
   [[nodiscard]] bool equals(const Expr& other) const;
@@ -68,6 +73,18 @@ ExprPtr preimage(std::string region, std::string fn, ExprPtr arg);
 ExprPtr equalOf(std::string region);
 
 bool exprEq(const ExprPtr& a, const ExprPtr& b);
+
+/// Structural hash / equality functors, for containers keyed by expression
+/// structure rather than by pointer.
+struct ExprHash {
+  std::size_t operator()(const ExprPtr& e) const { return e->hash; }
+};
+struct ExprEqual {
+  bool operator()(const ExprPtr& a, const ExprPtr& b) const {
+    return exprEq(a, b);
+  }
+};
+using ExprSet = std::unordered_set<ExprPtr, ExprHash, ExprEqual>;
 
 /// Substitutes symbols by expressions; returns the (possibly shared) result.
 ExprPtr substitute(const ExprPtr& e,

@@ -38,22 +38,16 @@ ExprPtr rewriteWithDefs(const ExprPtr& e,
       ExprPtr l = rewriteWithDefs(e->lhs, defs);
       ExprPtr r = rewriteWithDefs(e->rhs, defs);
       if (l == e->lhs && r == e->rhs) return e;
-      Expr out;
-      out.kind = e->kind;
-      out.lhs = std::move(l);
-      out.rhs = std::move(r);
-      return std::make_shared<const Expr>(std::move(out));
+      if (e->kind == ExprKind::Union) return unionOf(l, r);
+      if (e->kind == ExprKind::Intersect) return intersectOf(l, r);
+      return subtractOf(l, r);
     }
     case ExprKind::Image:
     case ExprKind::Preimage: {
       ExprPtr a = rewriteWithDefs(e->arg, defs);
       if (a == e->arg) return e;
-      Expr out;
-      out.kind = e->kind;
-      out.arg = std::move(a);
-      out.fn = e->fn;
-      out.region = e->region;
-      return std::make_shared<const Expr>(std::move(out));
+      return e->kind == ExprKind::Image ? image(a, e->fn, e->region)
+                                        : preimage(e->region, e->fn, a);
     }
   }
   return e;

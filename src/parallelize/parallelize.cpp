@@ -352,6 +352,7 @@ ParallelPlan AutoParallelizer::plan(const ir::Program& program) {
     return fresh;
   });
   stats.solve = solved.solution.stats;
+  stats.solverCalls = solved.solverCalls;
 
   ParallelPlan result = inPhase(tracer_, "phase.synthesize", stats.rewriteMs,
                                 [&] {
@@ -516,12 +517,13 @@ AutoParallelizer::Canonical AutoParallelizer::canonicalize(
 
 constraint::UnifyResult AutoParallelizer::unify(const Relaxed& relaxed) const {
   std::map<std::string, std::string> renames;
+  std::size_t collapseCalls = 0;
   std::vector<System> systems;
   for (const Inferred::Loop& st : relaxed.loops) {
     systems.push_back(st.constraints.system);
     if (options_.enableUnification) {
-      constraint::collapsePlainEdges(systems.back(), renames,
-                                     relaxed.rangeFns);
+      collapseCalls += constraint::collapsePlainEdges(
+          systems.back(), renames, relaxed.rangeFns);
     }
   }
   for (const System& ext : externals_) systems.push_back(ext);
@@ -534,6 +536,7 @@ constraint::UnifyResult AutoParallelizer::unify(const Relaxed& relaxed) const {
   constraint::UnifyResult ur =
       constraint::unifySystems(std::move(systems), relaxed.rangeFns);
   ur.renames.merge(renames);  // unification's renames win over collapses
+  ur.solverCalls += collapseCalls;
   return ur;
 }
 
@@ -643,11 +646,16 @@ Solved AutoParallelizer::solve(constraint::UnifyResult unified,
       attempt.addDisj(dpl::symbol(sym));
     }
   }
-  constraint::Solution sol =
-      constraint::Solver(attempt, relaxed.rangeFns, scfg).solve();
+  std::size_t solverCalls = unified.solverCalls;
+  auto solveOnce = [&](const System& system,
+                       const constraint::SolverConfig& cfg) {
+    ++solverCalls;
+    return constraint::Solver(system, relaxed.rangeFns, cfg).solve();
+  };
+  constraint::Solution sol = solveOnce(attempt, scfg);
   bool usedAttempt = true;
   if (!sol.ok && !disjointified.empty()) {
-    sol = constraint::Solver(combined, relaxed.rangeFns, scfg).solve();
+    sol = solveOnce(combined, scfg);
     usedAttempt = false;
   }
   if (proof != nullptr) {
@@ -657,8 +665,7 @@ Solved AutoParallelizer::solve(constraint::UnifyResult unified,
     beginProof(*proof, world_, options_.pieces, decisive, vocab);
     constraint::SolverConfig pcfg = scfg;
     pcfg.proof = proof;
-    const constraint::Solution psol =
-        constraint::Solver(decisive, relaxed.rangeFns, pcfg).solve();
+    const constraint::Solution psol = solveOnce(decisive, pcfg);
     DPART_CHECK(psol.ok == sol.ok,
                 "proof replay diverged from the decisive solve");
   }
@@ -676,7 +683,8 @@ Solved AutoParallelizer::solve(constraint::UnifyResult unified,
   for (const std::string& sym : combined.symbols()) {
     if (combined.isFixed(sym)) fixedSymbols.insert(sym);
   }
-  return {std::move(unified.renames), std::move(sol), std::move(fixedSymbols)};
+  return {std::move(unified.renames), std::move(sol), std::move(fixedSymbols),
+          solverCalls};
 }
 
 ParallelPlan AutoParallelizer::synthesize(

@@ -92,6 +92,10 @@ struct CompileStats {
   /// Propagation-engine counters (compile.propagate.* gauges; all zero on a
   /// cache hit or under the syntax-directed engine).
   constraint::SolveStats solve;
+  /// Every Solver::solve call of this compile: plain-edge collapses,
+  /// unification checks, disjoint-reduction attempts, the final solve and
+  /// its proof replay (compile.solverCalls gauge; zero on a cache hit).
+  std::size_t solverCalls = 0;
   /// Proof-certificate size (compile.proof.* gauges; zero when no
   /// certificate was requested).
   std::size_t proofEvents = 0;

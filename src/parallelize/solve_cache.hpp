@@ -23,6 +23,9 @@ struct Solved {
   std::map<std::string, std::string> renames;
   constraint::Solution solution;
   std::set<std::string> fixedSymbols;
+  /// Solver::solve calls that produced this result: unification's checks,
+  /// then the final solve attempts (0 when rebound from the cache).
+  std::size_t solverCalls = 0;
 };
 
 /// Renames every symbol, region and fn of `solved` through `maps`. The solve
@@ -30,8 +33,8 @@ struct Solved {
 /// CanonicalForm::toCanonical to store a result, and through the inverse of
 /// the requester's map to rebind an entry. Only the name-bearing parts of
 /// the solution carry over (ok, assignments, order, resolved); its failure
-/// text, search counters and conflict describe one concrete search and are
-/// left empty.
+/// text, search counters, conflict and solver call count describe one
+/// concrete search and are left empty.
 [[nodiscard]] Solved mapNames(const Solved& solved,
                               const constraint::NameMaps& maps);
 

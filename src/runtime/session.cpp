@@ -64,6 +64,8 @@ struct Session::Impl {
         .set(static_cast<double>(st.solve.backtracks));
     mx.gauge("compile.propagate.restarts")
         .set(static_cast<double>(st.solve.restarts));
+    mx.gauge("compile.solverCalls")
+        .set(static_cast<double>(st.solverCalls));
     mx.gauge("compile.proof.events")
         .set(static_cast<double>(st.proofEvents));
     mx.gauge("compile.proof.bytes").set(static_cast<double>(st.proofBytes));

@@ -361,6 +361,8 @@ void expectCachedPlanIdentical(region::World& world,
   AutoParallelizer warm(world, opts);
   ParallelPlan served = warm.plan(program);
   ASSERT_TRUE(served.stats.cacheHit);
+  EXPECT_GT(fresh.stats.solverCalls, 0u);
+  EXPECT_EQ(served.stats.solverCalls, 0u);  // a hit solves nothing
   EXPECT_EQ(served.stats.cacheKey, fresh.stats.cacheKey);
   EXPECT_EQ(fingerprint(served), fingerprint(fresh));
 }

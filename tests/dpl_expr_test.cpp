@@ -18,6 +18,52 @@ TEST(Expr, PrintsPaperSyntax) {
             "(A - (B n C))");
 }
 
+TEST(Expr, ToStringGoldenForEveryKind) {
+  EXPECT_EQ(symbol("P1")->toString(), "P1");
+  EXPECT_EQ(unionOf(symbol("A"), equalOf("R"))->toString(), "(A u equal(R))");
+  EXPECT_EQ(intersectOf(symbol("A"), symbol("B"))->toString(), "(A n B)");
+  EXPECT_EQ(subtractOf(symbol("A"), symbol("B"))->toString(), "(A - B)");
+  EXPECT_EQ(image(symbol("P"), "f", "S")->toString(), "image(P, f, S)");
+  EXPECT_EQ(preimage("R", "f", symbol("Q"))->toString(),
+            "preimage(R, f, Q)");
+  EXPECT_EQ(equalOf("Cells")->toString(), "equal(Cells)");
+  // Nested image/preimage chains print inside out.
+  ExprPtr chain =
+      image(preimage("Faces", "g", image(equalOf("Cells"), "h", "Nodes")),
+            "g", "Cells");
+  EXPECT_EQ(chain->toString(),
+            "image(preimage(Faces, g, image(equal(Cells), h, Nodes)), g, "
+            "Cells)");
+  EXPECT_EQ(subtractOf(unionOf(chain, symbol("P")),
+                       intersectOf(preimage("Cells", "g", symbol("Q")),
+                                   equalOf("Cells")))
+                ->toString(),
+            "((image(preimage(Faces, g, image(equal(Cells), h, Nodes)), g, "
+            "Cells) u P) - (preimage(Cells, g, Q) n equal(Cells)))");
+}
+
+TEST(Expr, StructuralHashAgreesWithEquality) {
+  ExprPtr a = preimage("R", "f", unionOf(symbol("P"), equalOf("S")));
+  ExprPtr b = preimage("R", "f", unionOf(symbol("P"), equalOf("S")));
+  EXPECT_NE(a, b);
+  EXPECT_EQ(a->hash, b->hash);
+  EXPECT_TRUE(exprEq(a, b));
+  // Operand order, operator and kind all matter.
+  EXPECT_FALSE(exprEq(unionOf(symbol("P"), symbol("Q")),
+                      unionOf(symbol("Q"), symbol("P"))));
+  EXPECT_FALSE(exprEq(unionOf(symbol("P"), symbol("Q")),
+                      intersectOf(symbol("P"), symbol("Q"))));
+  EXPECT_FALSE(exprEq(image(symbol("P"), "f", "R"),
+                      preimage("R", "f", symbol("P"))));
+  // Rebuilt nodes hash like freshly built ones.
+  EXPECT_TRUE(exprEq(substitute(image(symbol("P"), "f", "R"),
+                                {{"P", equalOf("S")}}),
+                     image(equalOf("S"), "f", "R")));
+  ExprSet set{a};
+  EXPECT_FALSE(set.insert(b).second);
+  EXPECT_TRUE(set.insert(preimage("R", "f", symbol("P"))).second);
+}
+
 TEST(Expr, StructuralEquality) {
   ExprPtr a = image(symbol("P"), "f", "R");
   ExprPtr b = image(symbol("P"), "f", "R");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/miniaero.hpp"
 #include "ir/interp.hpp"
 #include "runtime/executor.hpp"
 #include "support/rng.hpp"
@@ -472,6 +473,18 @@ TEST(Parallelize, CompileStatsArePopulated) {
   // solveMs includes the relaxation pass, so it dominates pure resolution
   // and stays comparable with the paper's Table 1 "solver" row.
   EXPECT_GE(plan.stats.rewriteMs, 0.0);
+}
+
+TEST(Parallelize, SolverCallsAreCountedAndDeterministic) {
+  // Unification validates every collapse and every unification by solving,
+  // so a many-loop app makes many solver calls; the count depends on the
+  // input alone, not on timing.
+  apps::MiniAeroApp app({.nx = 4, .ny = 4, .nzPerPiece = 4, .pieces = 4});
+  const ParallelPlan first = AutoParallelizer(app.world()).plan(app.program());
+  const ParallelPlan second =
+      AutoParallelizer(app.world()).plan(app.program());
+  EXPECT_GT(first.stats.solverCalls, 1u);
+  EXPECT_EQ(first.stats.solverCalls, second.stats.solverCalls);
 }
 
 }  // namespace

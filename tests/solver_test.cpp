@@ -20,6 +20,19 @@ class EntailTest : public ::testing::Test {
   System sys;
 };
 
+TEST_F(EntailTest, CheckResolvedDoesNotUseAnObligationAsItsOwnProof) {
+  sys.declareSymbol("P", "R", /*fixed=*/true);
+  // A non-assumed DISJ(P) supported only by itself (twice, as distinct
+  // ExprPtrs) is unprovable: the obligation and its structural twins are
+  // excluded from the hypotheses.
+  sys.addDisj(symbol("P"));
+  sys.addDisj(symbol("P"));
+  EXPECT_EQ(checkResolved(sys, {}), "DISJ(P)");
+  // An assumed DISJ(P) is a hypothesis and discharges it.
+  sys.addDisj(symbol("P"), /*assumed=*/true);
+  EXPECT_EQ(checkResolved(sys, {}), "");
+}
+
 TEST_F(EntailTest, L1EqualIsPartDisjComp) {
   Entailment ent(sys, {});
   EXPECT_TRUE(ent.provePart(equalOf("R"), "R"));

@@ -110,6 +110,61 @@ TEST(System, SubstitutedDeduplicates) {
   EXPECT_EQ(g.subsets().size(), 1u);
 }
 
+TEST(System, SubstitutedDedupIsStructural) {
+  System sys;
+  sys.declareSymbol("P1", "R");
+  sys.declareSymbol("P2", "S");
+  // Built twice from distinct ExprPtrs: one copy survives.
+  sys.addDisj(image(symbol("P1"), "f", "S"));
+  sys.addDisj(image(symbol("P1"), "f", "S"));
+  // Assumed and non-assumed copies of one conjunct stay apart.
+  sys.addDisj(symbol("P2"), /*assumed=*/true);
+  sys.addDisj(symbol("P2"));
+  sys.addDisj(symbol("P2"), /*assumed=*/true);
+  // PART and COMP of one expression stay apart.
+  sys.addPart(image(symbol("P1"), "f", "S"), "S");
+  sys.addComp(image(symbol("P1"), "f", "S"), "S");
+  sys.addComp(image(symbol("P1"), "f", "S"), "S");
+  sys.addSubset(image(symbol("P1"), "f", "S"), symbol("P2"));
+  sys.addSubset(image(symbol("P1"), "f", "S"), symbol("P2"));
+  sys.addSubset(image(symbol("P1"), "f", "S"), symbol("P2"),
+                /*assumed=*/true);
+  const System g = sys.substituted({});
+  std::vector<std::string> preds;
+  for (const Pred& p : g.preds()) {
+    preds.push_back(p.toString() + (p.assumed ? " assumed" : ""));
+  }
+  // Declarations first, then first occurrences in input order.
+  EXPECT_EQ(preds, (std::vector<std::string>{
+                       "PART(P1, R)", "PART(P2, S)", "DISJ(image(P1, f, S))",
+                       "DISJ(P2) assumed", "DISJ(P2)",
+                       "PART(image(P1, f, S), S)", "COMP(image(P1, f, S), S)"}));
+  ASSERT_EQ(g.subsets().size(), 2u);
+  EXPECT_FALSE(g.subsets()[0].assumed);
+  EXPECT_TRUE(g.subsets()[1].assumed);
+}
+
+TEST(System, SubstitutedMergesConjunctsThatBecomeIdentical) {
+  System sys;
+  sys.declareSymbol("P1", "R");
+  sys.declareSymbol("P2", "R");
+  sys.declareSymbol("P3", "R");
+  sys.addDisj(symbol("P3"));
+  sys.addDisj(symbol("P1"));
+  sys.addDisj(symbol("P2"));
+  sys.addSubset(symbol("P3"), symbol("P1"));
+  sys.addSubset(symbol("P3"), symbol("P2"));
+  const System g = sys.substituted({{"P2", symbol("P1")}});
+  std::vector<std::string> printed;
+  for (const Pred& p : g.preds()) printed.push_back(p.toString());
+  for (const Subset& sc : g.subsets()) printed.push_back(sc.toString());
+  // PART(P2, R) becomes a second PART(P1, R): substituted conjuncts are
+  // deduplicated among themselves, not against the re-declared symbols.
+  EXPECT_EQ(printed, (std::vector<std::string>{
+                         "PART(P1, R)", "PART(P3, R)", "PART(P1, R)",
+                         "DISJ(P3)", "DISJ(P1)", "P3 <= P1"}));
+}
+
 TEST(System, RenameSymbolMergesDeclarations) {
   System sys;
   sys.declareSymbol("P1", "R");
