@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "support/check.hpp"
 
@@ -27,13 +28,13 @@ std::uint64_t fnv64(const std::string& s,
   return h;
 }
 
+// Order-sensitive combine ending in the splitmix64 finalizer: signature sums
+// add these values, so each must be well spread over all 64 bits.
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  // Feed each byte of v through FNV so mixing is order-sensitive.
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
+  std::uint64_t x = (h * kFnvPrime) ^ (v + 0x9e3779b97f4a7c15ULL);
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
 }
 
 // --- Graph nodes ------------------------------------------------------------
@@ -65,10 +66,18 @@ struct Canonicalizer {
 
   std::vector<NodeKey> nodes;          // stable order: sorted by key
   std::map<NodeKey, std::size_t> nodeIndex;
-  std::vector<std::uint64_t> color;    // current color per node
-  // Incidence contributions gathered during one refinement round:
-  // per node, the multiset of (conjunct signature mixed with position).
-  std::vector<std::vector<std::uint64_t>> touches;
+  // The ordered partition: `cells` lists the nodes cell by cell, a node's
+  // color is the start position of its cell and `cellEnd[start]` is one past
+  // the cell's last position. `key` is what cells split by: the kind hash at
+  // first, then per node the commutative sum of mix(signature, position)
+  // over its incident conjuncts, updated in place as signatures change.
+  std::vector<std::uint64_t> color, key;
+  std::vector<std::size_t> cells, cellEnd;
+  std::vector<std::vector<std::size_t>> incident;  // node -> its conjuncts
+  // Per-pass dedup stamps (conjunct index, cell start); all scratch state is
+  // owned by this instance, so concurrent canonicalize() calls share nothing.
+  std::vector<std::size_t> conjStamp, cellStamp;
+  std::size_t epoch = 0;
 
   /// One step of a compiled conjunct-signature program: mix a constant
   /// (colorOf < 0) or the current color of a node (colorOf >= 0) into the
@@ -78,14 +87,13 @@ struct Canonicalizer {
     std::uint64_t value = 0;
   };
 
-  /// One conjunct, compiled once: refinement rounds replay the token
-  /// program against the current coloring instead of re-walking expression
-  /// trees and name maps every round (the refinement loop runs
-  /// O(individualizations x rounds-to-fixpoint) times, so per-round cost
-  /// dominates canonicalization).
+  /// One conjunct, compiled once: refinement replays the token program
+  /// against the current coloring whenever a node it mentions changes cell,
+  /// instead of re-walking expression trees and name maps. `mentions` holds
+  /// every node the tokens read (the loop node included) with its position.
   struct Compiled {
     std::uint64_t tag = 0;
-    std::size_t loopNode = 0;
+    std::uint64_t sig = 0;  // signature under the current coloring
     std::vector<Token> tokens;
     std::vector<std::pair<std::size_t, std::uint64_t>> mentions;
   };
@@ -158,11 +166,12 @@ struct Canonicalizer {
     }
   }
 
-  /// Kind-intrinsic initial color, independent of any input name. `f_ID` is
-  /// the one exception: it is structural (every program has it; it is never
-  /// renamed), so it gets a reserved color of its own.
+  /// Kind-intrinsic initial key, independent of any input name; the initial
+  /// cells group equal keys in key order. `f_ID` is the one exception: it is
+  /// structural (every program has it; it is never renamed), so it gets a
+  /// reserved key of its own.
   void initColors() {
-    color.assign(nodes.size(), 0);
+    key.assign(nodes.size(), 0);
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const NodeKey& k = nodes[i];
       std::uint64_t c = fnv64("kind");
@@ -184,20 +193,14 @@ struct Canonicalizer {
           break;
         }
       }
-      color[i] = c;
+      key[i] = c;
     }
   }
 
-  void touch(std::size_t nodeIdx, std::uint64_t conjunctSig,
-             std::uint64_t pos) {
-    touches[nodeIdx].push_back(mix(conjunctSig, pos));
-  }
-
   /// Compiles an expression into tokens: constants marking the structure,
-  /// color references at every node position. Mirrors the shape the old
-  /// per-round recursive signature walk hashed; only the numeric values
-  /// differ, and nothing downstream depends on those (canonical ranks come
-  /// from color ORDER, the rendering from ranks).
+  /// color references at every node position. Only how the values compare
+  /// matters downstream: cells split and order by them, canonical ranks come
+  /// from cell positions and the rendering from ranks.
   void compileExpr(const dpl::ExprPtr& e, std::uint64_t path, Compiled& out) {
     DPART_CHECK(e != nullptr, "canonicalize: null expression");
     out.tokens.push_back(
@@ -241,7 +244,9 @@ struct Canonicalizer {
                        const std::vector<std::size_t>& extraNodes) {
     Compiled c;
     c.tag = tag;
-    c.loopNode = node(NodeKind::Loop, std::to_string(loopIdx));
+    const std::size_t loopNode = node(NodeKind::Loop, std::to_string(loopIdx));
+    c.mentions.emplace_back(loopNode, fnv64("@loop"));
+    c.tokens.push_back(Token{static_cast<std::int64_t>(loopNode), 0});
     std::uint64_t slot = fnv64("slot");
     for (const dpl::ExprPtr* e : exprs) {
       slot = mix(slot, 1);
@@ -292,91 +297,117 @@ struct Canonicalizer {
     }
   }
 
-  /// One refinement round over the compiled conjuncts; returns the
-  /// partition (node -> class rank).
-  std::vector<std::size_t> refineRound() {
-    const std::uint64_t atLoop = fnv64("@loop");
-    const std::uint64_t rf = fnv64("rf");
-    touches.resize(nodes.size());
-    for (std::vector<std::uint64_t>& t : touches) t.clear();
-    for (const Compiled& c : conjuncts) {
-      std::uint64_t sig = mix(c.tag, color[c.loopNode]);
-      for (const Token& t : c.tokens) {
-        sig = mix(sig, t.colorOf >= 0
-                           ? color[static_cast<std::size_t>(t.colorOf)]
-                           : t.value);
+  std::uint64_t sign(const Compiled& c) const {
+    std::uint64_t sig = c.tag;
+    for (const Token& t : c.tokens) {
+      sig = mix(sig, t.colorOf >= 0
+                         ? color[static_cast<std::size_t>(t.colorOf)]
+                         : t.value);
+    }
+    return sig;
+  }
+
+  /// Splits the cell starting at `b` by `key`, sub-cells in key order. The
+  /// first sub-cell keeps the cell's color; every other member is recolored
+  /// to its sub-cell's start and appended to `moved`.
+  void split(std::size_t b, std::vector<std::size_t>& moved) {
+    const std::size_t e = cellEnd[b];
+    if (e - b < 2) return;
+    std::sort(cells.begin() + static_cast<std::ptrdiff_t>(b),
+              cells.begin() + static_cast<std::ptrdiff_t>(e),
+              [&](std::size_t x, std::size_t y) { return key[x] < key[y]; });
+    std::size_t start = b;
+    for (std::size_t p = b; p < e; ++p) {
+      const std::size_t n = cells[p];
+      if (key[n] != key[cells[start]]) cellEnd[std::exchange(start, p)] = p;
+      if (start != b) {
+        color[n] = start;
+        moved.push_back(n);
       }
-      touch(c.loopNode, sig, atLoop);
-      for (const auto& [n, pos] : c.mentions) touch(n, sig, pos);
     }
-    std::vector<std::uint64_t> next(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      // Sort in place (multiset semantics) and fold; the buffer's capacity
-      // is reused across rounds.
-      std::sort(touches[i].begin(), touches[i].end());
-      std::uint64_t h = mix(color[i], rf);
-      for (std::uint64_t v : touches[i]) h = mix(h, v);
-      next[i] = h;
-    }
-    color = std::move(next);
-    // Partition = ranks of the distinct colors.
-    std::vector<std::uint64_t> distinct = color;
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
-    std::vector<std::size_t> part(nodes.size());
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      part[i] = static_cast<std::size_t>(
-          std::lower_bound(distinct.begin(), distinct.end(), color[i]) -
-          distinct.begin());
-    }
-    return part;
+    cellEnd[start] = e;
   }
 
-  /// Refines to a fixed point of the partition. Convergence is detected on
-  /// the CLASS COUNT, not the rank vector: colors are rehashed every round,
-  /// so rank labels permute even once the partition is stable, but
-  /// refinement only ever splits classes — the count is monotone and stops
-  /// growing exactly at the fixed point. (Comparing rank vectors here made
-  /// every fixpoint run to its |nodes|-round safety cap.)
-  std::vector<std::size_t> refineToFixpoint() {
-    std::vector<std::size_t> part = refineRound();
-    if (part.empty()) return part;
-    std::size_t classes =
-        1 + *std::max_element(part.begin(), part.end());
-    // The partition only ever splits, so at most |nodes| productive rounds.
-    for (std::size_t round = 0; round <= nodes.size(); ++round) {
-      std::vector<std::size_t> next = refineRound();
-      const std::size_t nextClasses =
-          1 + *std::max_element(next.begin(), next.end());
-      part = std::move(next);
-      if (nextClasses <= classes) return part;
-      classes = nextClasses;
+  /// Refines to the coarsest stable partition below the current one, given
+  /// the nodes whose color just changed: re-signs only the conjuncts that
+  /// mention a moved node, updates the key sums of the nodes incident on
+  /// them, and splits only the cells those nodes sit in. Each pass splits by
+  /// keys computed from one coloring, so the outcome is the same as a full
+  /// synchronous round, whatever order the worklist is visited in.
+  void refine(std::vector<std::size_t> moved) {
+    std::vector<std::size_t> dirty;
+    while (!moved.empty()) {
+      ++epoch;
+      dirty.clear();
+      for (std::size_t n : moved) {
+        for (std::size_t ci : incident[n]) {
+          if (std::exchange(conjStamp[ci], epoch) == epoch) continue;
+          Compiled& c = conjuncts[ci];
+          const std::uint64_t sig = sign(c);
+          if (sig == c.sig) continue;
+          for (const auto& [m, pos] : c.mentions) {
+            key[m] += mix(sig, pos) - mix(c.sig, pos);
+            const std::size_t cell = color[m];
+            if (std::exchange(cellStamp[cell], epoch) != epoch) {
+              dirty.push_back(cell);
+            }
+          }
+          c.sig = sig;
+        }
+      }
+      moved.clear();
+      for (std::size_t b : dirty) split(b, moved);
     }
-    return part;
   }
 
-  /// Splits residual tied classes one node at a time. The choice of which
-  /// node to individualize is a heuristic (first member in input-name order
-  /// of the lowest-rank non-singleton class): a "wrong" choice can only make
-  /// two isomorphic inputs land on different canonical forms (a cache miss,
-  /// caught by the rendering guard) — never on the same form, because the
-  /// rendering is a faithful image of the input.
+  /// Builds the initial cells from the kind hashes (ordered by hash value),
+  /// then refines them against the conjunct signatures.
+  void partition() {
+    const std::size_t n = nodes.size();
+    color.assign(n, 0);
+    cells.resize(n);
+    for (std::size_t i = 0; i < n; ++i) cells[i] = i;
+    cellEnd.assign(n + 1, n);  // one cell; the extra slot serves n == 0
+    std::vector<std::size_t> moved;
+    split(0, moved);
+    key.assign(n, 0);
+    incident.assign(n, {});
+    for (std::size_t ci = 0; ci < conjuncts.size(); ++ci) {
+      Compiled& c = conjuncts[ci];
+      c.sig = sign(c);
+      for (const auto& [m, pos] : c.mentions) {
+        key[m] += mix(c.sig, pos);
+        incident[m].push_back(ci);
+      }
+    }
+    conjStamp.assign(conjuncts.size(), 0);
+    cellStamp.assign(n, 0);
+    moved.clear();
+    for (std::size_t b = 0; b < n; b = cellEnd[b]) split(b, moved);
+    refine(std::move(moved));
+  }
+
+  /// Splits residual ties one node at a time: the first member in input-name
+  /// order of the first non-singleton cell moves to a singleton cell at the
+  /// cell's end, and refinement proceeds from that one move. The member
+  /// choice is a heuristic: a "wrong" choice can only make two isomorphic
+  /// inputs land on different canonical forms (a cache miss, caught by the
+  /// rendering guard) — never on the same form, because the rendering is a
+  /// faithful image of the input.
   void individualize() {
-    std::vector<std::size_t> part = refineToFixpoint();
-    for (;;) {
-      // Class rank -> members (in node order, i.e. sorted input names).
-      std::map<std::size_t, std::vector<std::size_t>> classes;
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        classes[part[i]].push_back(i);
+    for (std::size_t b = 0; b < cells.size();) {
+      const std::size_t e = cellEnd[b];
+      if (e - b < 2) {
+        b = e;
+        continue;
       }
-      const auto tied =
-          std::find_if(classes.begin(), classes.end(),
-                       [](const auto& c) { return c.second.size() > 1; });
-      if (tied == classes.end()) return;
-      color[tied->second.front()] =
-          mix(color[tied->second.front()], fnv64("indiv"));
-      part = refineToFixpoint();
+      const auto first = cells.begin() + static_cast<std::ptrdiff_t>(b);
+      const auto last = cells.begin() + static_cast<std::ptrdiff_t>(e);
+      std::iter_swap(std::min_element(first, last), last - 1);
+      cellEnd[b] = e - 1;
+      cellEnd[e - 1] = e;
+      color[cells[e - 1]] = e - 1;
+      refine({cells[e - 1]});
     }
   }
 
@@ -590,6 +621,7 @@ CanonicalForm canonicalize(const std::vector<CanonicalLoop>& loops,
   c.collectNodes();
   c.initColors();
   c.compileAllConjuncts();
+  c.partition();
   c.individualize();
   return c.finish();
 }

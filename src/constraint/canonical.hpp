@@ -74,9 +74,12 @@ struct CanonicalForm {
 };
 
 /// Canonicalizes the given per-loop systems plus external constraint
-/// systems via color refinement over the joint colored constraint graph
-/// (symbols, regions, fns and loop tags as nodes; conjuncts as labeled
-/// hyperedges), with deterministic individualization of residual ties.
+/// systems via ordered-partition refinement over the joint colored
+/// constraint graph (symbols, regions, fns and loop tags as nodes; conjuncts
+/// as labeled hyperedges): a node's color is its cell's position, and when
+/// nodes change cell only the conjuncts mentioning them are re-signed and
+/// only the cells of their incident nodes split. Residual ties are broken by
+/// individualizing one node at a time and refining from that split.
 /// `rangeFns` colors range-valued fns differently from point fns (the
 /// lemma engine distinguishes them), and `optionBits` folds the compile
 /// options that change the pipeline's output into the key. `extraKey` is
@@ -85,9 +88,12 @@ struct CanonicalForm {
 /// rendering plus pieces and region sizes, so vocabulary-constrained
 /// compiles never collide with unconstrained ones.
 ///
-/// Isomorphic inputs produce identical hash + rendering; the labeling is an
-/// isomorphism onto the canonical form whenever the rendering matches, so
-/// correctness of a cache hit never depends on the tie-breaking heuristic.
+/// Isomorphic inputs produce identical hash + rendering whenever every tie
+/// left for individualization is an automorphism orbit. Otherwise the
+/// member choice (first in input-name order) can send two isomorphic inputs
+/// to different forms: a harmless cache miss. The labeling is an isomorphism
+/// onto the canonical form whenever the rendering matches, so correctness of
+/// a cache hit never depends on the tie-breaking heuristic.
 [[nodiscard]] CanonicalForm canonicalize(
     const std::vector<CanonicalLoop>& loops,
     const std::vector<const System*>& externals,

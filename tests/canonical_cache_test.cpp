@@ -5,14 +5,23 @@
 //    rendering, and the second compile is served from the cache;
 //  - structurally distinct programs produce different keys;
 //  - a cache-served plan is bitwise-identical to a fresh solve, on a
-//    hand-built program and on all five Fig. 14 apps.
+//    hand-built program and on all five Fig. 14 apps;
+//  - the inferred systems of the five apps, and a program of twelve
+//    identical loops, canonicalize identically under any joint renaming and
+//    loop order, and concurrent calls agree.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <numeric>
+#include <random>
 #include <sstream>
+#include <thread>
 #include <vector>
 
+#include "analysis/infer.hpp"
+#include "analysis/parallelizable.hpp"
 #include "apps/circuit.hpp"
 #include "apps/miniaero.hpp"
 #include "apps/pennant.hpp"
@@ -134,6 +143,166 @@ TEST(Canonicalize, SymmetricSymbolsGetDistinctCanonicalNames) {
   EXPECT_EQ(fa.hash, fb.hash);
   EXPECT_EQ(fa.rendering, fb.rendering);
   EXPECT_NE(fa.toCanonical.symbol("P1"), fa.toCanonical.symbol("P2"));
+}
+
+// ---------------------------------------------------------------------------
+// Invariance on real systems and on heavy ties
+// ---------------------------------------------------------------------------
+
+// One program's canonicalization input: per-loop systems plus range fns.
+struct Systems {
+  std::vector<System> loops;
+  std::set<std::string> rangeFns;
+};
+
+CanonicalForm canonicalForm(const Systems& in) {
+  std::vector<CanonicalLoop> loops;
+  for (const System& s : in.loops) loops.push_back(CanonicalLoop{&s, false, {}});
+  return constraint::canonicalize(loops, {}, in.rangeFns, 0);
+}
+
+// Each loop's Algorithm 1 system, one symbol generator for the program.
+Systems inferredSystems(region::World& world, const ir::Program& program) {
+  Systems out;
+  constraint::SymbolGen gen;
+  for (const ir::Loop& loop : program.loops) {
+    EXPECT_TRUE(analysis::checkParallelizable(world, loop).ok) << loop.name;
+    out.loops.push_back(analysis::inferConstraints(world, loop, gen).system);
+  }
+  for (const std::string& id : world.fnIds()) {
+    if (world.fn(id).isRangeValued()) out.rangeFns.insert(id);
+  }
+  return out;
+}
+
+// Renames every symbol, region and fn the systems mention (f_ID excepted)
+// to fresh names in seeded random order, and shuffles the loops.
+Systems renamedAndShuffled(const Systems& in, unsigned seed) {
+  const NameMaps names = canonicalForm(in).toCanonical;
+  std::mt19937 rng(seed);
+  auto rename = [&](const std::map<std::string, std::string>& from,
+                    std::map<std::string, std::string>& into) {
+    std::vector<int> perm(from.size());
+    std::iota(perm.begin(), perm.end(), 0);
+    std::shuffle(perm.begin(), perm.end(), rng);
+    std::size_t i = 0;
+    for (const auto& entry : from) {
+      char buf[16];
+      std::snprintf(buf, sizeof buf, "n%04d", perm[i++]);
+      into[entry.first] = buf;
+    }
+  };
+  NameMaps m;
+  rename(names.symbols, m.symbols);
+  rename(names.regions, m.regions);
+  rename(names.fns, m.fns);
+  Systems out;
+  for (const System& s : in.loops) out.loops.push_back(constraint::mapSystem(s, m));
+  std::shuffle(out.loops.begin(), out.loops.end(), rng);
+  for (const std::string& f : in.rangeFns) out.rangeFns.insert(m.fn(f));
+  return out;
+}
+
+bool injective(const std::map<std::string, std::string>& m) {
+  std::set<std::string> values;
+  for (const auto& entry : m) values.insert(entry.second);
+  return values.size() == m.size();
+}
+
+void expectInvariant(const Systems& systems) {
+  const CanonicalForm base = canonicalForm(systems);
+  for (unsigned seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const CanonicalForm renamed =
+        canonicalForm(renamedAndShuffled(systems, seed));
+    EXPECT_EQ(renamed.hash, base.hash);
+    EXPECT_EQ(renamed.rendering, base.rendering);
+    for (const CanonicalForm* f : {&base, &renamed}) {
+      EXPECT_TRUE(injective(f->toCanonical.symbols));
+      EXPECT_TRUE(injective(f->toCanonical.regions));
+      EXPECT_TRUE(injective(f->toCanonical.fns));
+    }
+  }
+}
+
+std::vector<Systems> fig14Systems() {
+  std::vector<Systems> out;
+  apps::SpmvApp spmv({.rowsPerPiece = 64, .nnzPerRow = 3, .pieces = 4});
+  out.push_back(inferredSystems(spmv.world(), spmv.program()));
+  apps::StencilApp stencil({.rowsPerPiece = 8, .cols = 8, .pieces = 4});
+  out.push_back(inferredSystems(stencil.world(), stencil.program()));
+  apps::CircuitApp circuit({.pieces = 4, .nodesPerCluster = 32,
+                            .wiresPerCluster = 64});
+  out.push_back(inferredSystems(circuit.world(), circuit.program()));
+  apps::MiniAeroApp miniaero({.nx = 4, .ny = 4, .nzPerPiece = 4, .pieces = 4});
+  out.push_back(inferredSystems(miniaero.world(), miniaero.program()));
+  apps::PennantApp pennant({.zx = 4, .zyPerPiece = 4, .pieces = 4});
+  out.push_back(inferredSystems(pennant.world(), pennant.program()));
+  return out;
+}
+
+// Twelve loops of one shape: every loop, and the two symbols inside each,
+// is interchangeable with its peers, so only individualization splits them.
+Systems identicalLoops() {
+  Systems out;
+  for (int i = 0; i < 12; ++i) {
+    const std::string a = "A" + std::to_string(i), b = "B" + std::to_string(i),
+                      c = "C" + std::to_string(i);
+    System s;
+    s.declareSymbol(a, "Particles");
+    s.declareSymbol(b, "Particles");
+    s.declareSymbol(c, "Cells");
+    s.addDisj(dpl::symbol(a));
+    s.addDisj(dpl::symbol(b));
+    s.addSubset(dpl::image(dpl::symbol(a), "cell", "Cells"), dpl::symbol(c));
+    s.addSubset(dpl::image(dpl::symbol(b), "cell", "Cells"), dpl::symbol(c));
+    out.loops.push_back(std::move(s));
+  }
+  return out;
+}
+
+TEST(Canonicalize, Fig14SystemsAreRenameAndLoopOrderInvariant) {
+  const char* const names[] = {"spmv", "stencil", "circuit", "miniaero",
+                               "pennant"};
+  const std::vector<Systems> apps = fig14Systems();
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    SCOPED_TRACE(names[i]);
+    expectInvariant(apps[i]);
+  }
+}
+
+TEST(Canonicalize, IdenticalLoopsGetOneFormWithDistinctNames) {
+  const Systems systems = identicalLoops();
+  expectInvariant(systems);
+  EXPECT_EQ(canonicalForm(systems).toCanonical.symbols.size(), 36u);
+}
+
+TEST(Canonicalize, ConcurrentCallsAgree) {
+  std::vector<Systems> inputs = fig14Systems();
+  inputs.push_back(identicalLoops());
+  std::vector<CanonicalForm> expected;
+  for (const Systems& s : inputs) expected.push_back(canonicalForm(s));
+  std::vector<std::vector<CanonicalForm>> results(4);
+  std::vector<std::thread> threads;
+  for (std::vector<CanonicalForm>& out : results) {
+    threads.emplace_back([&inputs, &out] {
+      for (int round = 0; round < 3; ++round) {
+        for (const Systems& s : inputs) out.push_back(canonicalForm(s));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::vector<CanonicalForm>& out : results) {
+    ASSERT_EQ(out.size(), 3 * expected.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const CanonicalForm& want = expected[i % expected.size()];
+      EXPECT_EQ(out[i].hash, want.hash);
+      EXPECT_EQ(out[i].rendering, want.rendering);
+      EXPECT_EQ(out[i].toCanonical.symbols, want.toCanonical.symbols);
+      EXPECT_EQ(out[i].toCanonical.regions, want.toCanonical.regions);
+      EXPECT_EQ(out[i].toCanonical.fns, want.toCanonical.fns);
+    }
+  }
 }
 
 TEST(NameMapsTest, MapExprAndInvertRoundTrip) {
