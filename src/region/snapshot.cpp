@@ -88,9 +88,10 @@ void writeIndexSet(BinaryWriter& w, const IndexSet& set) {
 
 IndexSet readIndexSet(BinaryReader& r) {
   std::vector<Run> runs;
-  const auto readRunList = [&r, &runs](std::uint64_t n) {
+  const auto readRunList = [&r, &runs] {
+    const std::size_t n = r.count(2 * sizeof(Index));
     runs.reserve(runs.size() + n);
-    for (std::uint64_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       const Index lo = r.i64();
       const Index hi = r.i64();
       if (hi <= lo) {
@@ -103,19 +104,20 @@ IndexSet readIndexSet(BinaryReader& r) {
   };
   if (r.formatVersion() < 2) {
     // v1 stream: bare run list, no tag byte.
-    readRunList(r.u64());
+    readRunList();
     return IndexSet::fromRuns(std::move(runs));
   }
   const std::uint8_t tag = r.u8();
   if (tag == kSetRuns) {
-    readRunList(r.u64());
+    readRunList();
   } else if (tag == kSetChunked) {
-    const std::uint64_t chunkCount = r.u64();
-    for (std::uint64_t c = 0; c < chunkCount; ++c) {
+    // Smallest chunk: base, kind byte, empty run list.
+    const std::size_t chunkCount = r.count(sizeof(Index) + 1 + 8);
+    for (std::size_t c = 0; c < chunkCount; ++c) {
       const Index base = r.i64();
       const std::uint8_t kind = r.u8();
       if (kind == kChunkRuns) {
-        readRunList(r.u64());
+        readRunList();
       } else if (kind == kChunkBitmap) {
         for (std::size_t k = 0; k < detail::kChunkWords; ++k) {
           std::uint64_t word = r.u64();
@@ -155,10 +157,10 @@ void writePartition(BinaryWriter& w, const Partition& p) {
 
 Partition readPartition(BinaryReader& r) {
   std::string regionName = r.str();
-  const std::uint64_t n = r.u64();
+  const std::size_t n = r.count(kMinIndexSetBytes);
   std::vector<IndexSet> subs;
   subs.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) subs.push_back(readIndexSet(r));
+  for (std::size_t i = 0; i < n; ++i) subs.push_back(readIndexSet(r));
   return Partition(std::move(regionName), std::move(subs));
 }
 
@@ -172,9 +174,10 @@ void writePartitionMap(BinaryWriter& w,
 }
 
 std::map<std::string, Partition> readPartitionMap(BinaryReader& r) {
-  const std::uint64_t n = r.u64();
+  // Smallest entry: symbol name, region name, piece count.
+  const std::size_t n = r.count(3 * 8);
   std::map<std::string, Partition> parts;
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     std::string name = r.str();
     parts.emplace(std::move(name), readPartition(r));
   }
@@ -218,20 +221,30 @@ void snapshotWorld(BinaryWriter& w, const World& world) {
 void restoreWorld(BinaryReader& r, World& world) {
   // Stage: decode everything before touching the World, so any read error
   // (truncation mid-column, bad type tag) aborts with the World intact.
-  const std::uint64_t regionCount = r.u64();
+  // Smallest region: name, size, field count.
+  const std::size_t regionCount = r.count(3 * 8);
   std::vector<StagedRegion> staged;
   staged.reserve(regionCount);
-  for (std::uint64_t ri = 0; ri < regionCount; ++ri) {
+  for (std::size_t ri = 0; ri < regionCount; ++ri) {
     StagedRegion sr;
     sr.name = r.str();
     sr.size = r.i64();
     if (sr.size < 0) mismatch("negative size for region '" + sr.name + "'");
-    const std::uint64_t fieldCount = r.u64();
-    for (std::uint64_t fi = 0; fi < fieldCount; ++fi) {
+    // Smallest field: name, type tag (an empty region has no values).
+    const std::size_t fieldCount = r.count(8 + 1);
+    for (std::size_t fi = 0; fi < fieldCount; ++fi) {
       StagedField sf;
       sf.name = r.str();
       sf.tag = r.u8();
       const auto n = static_cast<std::size_t>(sr.size);
+      // Every tag stores at least 8 bytes per element; a size the rest of
+      // the payload cannot hold is corruption, not an allocation to try.
+      if (n > r.remaining() / 8) {
+        throw CheckpointCorruption("snapshot field '" + sr.name + "." +
+                                   sf.name + "' declares " +
+                                   std::to_string(n) +
+                                   " values past the end of the stream");
+      }
       switch (sf.tag) {
         case kTagF64:
           sf.f64.reserve(n);
@@ -258,10 +271,10 @@ void restoreWorld(BinaryReader& r, World& world) {
     }
     staged.push_back(std::move(sr));
   }
-  const std::uint64_t fnCount = r.u64();
+  const std::size_t fnCount = r.count(8);
   std::vector<std::string> fnIds;
   fnIds.reserve(fnCount);
-  for (std::uint64_t i = 0; i < fnCount; ++i) fnIds.push_back(r.str());
+  for (std::size_t i = 0; i < fnCount; ++i) fnIds.push_back(r.str());
   r.expectEnd();
 
   // Validate: the live World must have exactly the snapshot's structure.

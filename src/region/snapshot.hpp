@@ -21,6 +21,11 @@ namespace dpart::region {
 void writeIndexSet(BinaryWriter& w, const IndexSet& set);
 [[nodiscard]] IndexSet readIndexSet(BinaryReader& r);
 
+/// Fewest bytes an encoded IndexSet takes in any format version (the empty
+/// set's run count) — the element size decoders pass to BinaryReader::count
+/// for a sequence of sets.
+inline constexpr std::size_t kMinIndexSetBytes = 8;
+
 void writePartition(BinaryWriter& w, const Partition& p);
 [[nodiscard]] Partition readPartition(BinaryReader& r);
 

@@ -13,11 +13,9 @@
 
 #include "ir/ir.hpp"
 #include "runtime/distributed/worker.hpp"
-#include "runtime/executor.hpp"
 #include "runtime/task_exec.hpp"
 #include "support/check.hpp"
 #include "support/metrics.hpp"
-#include "support/sleep.hpp"
 #include "support/trace.hpp"
 
 namespace dpart::runtime::dist {
@@ -47,17 +45,6 @@ Coordinator::Coordinator(region::World& world,
     : world_(world), plan_(plan), options_(options) {}
 
 Coordinator::~Coordinator() { shutdown(); }
-
-void Coordinator::countError(const char* kind) const {
-  if (options_.observability.metrics != nullptr) {
-    options_.observability.metrics->counter("errorsTotal", {{"kind", kind}})
-        .inc();
-  }
-}
-
-void Coordinator::sleepFor(std::uint64_t micros) const {
-  sleepOrHook(options_.resilience.sleepMicros, micros);
-}
 
 void Coordinator::ensureWorkers(
     const std::map<std::string, Partition>& env,
@@ -152,6 +139,15 @@ void Coordinator::destroyWorker(std::size_t j, bool sendShutdown) {
   }
 }
 
+ErrorContext Coordinator::nodeContext(const parallelize::PlannedLoop& loop,
+                                      std::size_t j) const {
+  ErrorContext ctx;
+  ctx.site = "node:" + std::to_string(workers_[j].nodeId);
+  ctx.loop = loop.loop->name;
+  ctx.piece = static_cast<int>(j);
+  return ctx;
+}
+
 void Coordinator::shutdown() {
   for (std::size_t j = 0; j < workers_.size(); ++j) {
     destroyWorker(j, /*sendShutdown=*/true);
@@ -160,7 +156,8 @@ void Coordinator::shutdown() {
 }
 
 std::vector<FieldSlice> Coordinator::buildRefresh(
-    const parallelize::PlannedLoop& loop, std::size_t j) {
+    const parallelize::PlannedLoop& loop, const Ownership& ownership,
+    std::size_t j) {
   Worker& w = workers_[j];
   if (w.dirty.empty()) return {};
 
@@ -171,77 +168,42 @@ std::vector<FieldSlice> Coordinator::buildRefresh(
   // ALL footprint indices (e.g. a Guarded reduce's whole guard set), so any
   // stale footprint cell would round-trip back over a fresher coordinator
   // value.
-  std::map<std::pair<std::string, std::string>, IndexSet> needed;
-  auto addNeed = [&](const std::string& region, const std::string& field,
-                     const IndexSet& set) {
-    auto key = std::make_pair(region, field);
-    auto it = needed.find(key);
-    if (it == needed.end()) {
-      needed.emplace(std::move(key), set);
-    } else {
-      it->second = it->second.unionWith(set);
-    }
-  };
+  TaskFootprint needed =
+      buildFootprint(world_, loop, j, *env_, ownership.of(j));
   loop.loop->forEachStmt([&](const ir::Stmt& s) {
     if (s.kind != ir::StmtKind::LoadF64) return;
     auto it = loop.accessPartition.find(s.id);
-    if (it != loop.accessPartition.end()) {
-      addNeed(s.region, s.field, env_->at(it->second).sub(j));
-    } else {
-      addNeed(s.region, s.field, world_.region(s.region).indexSpace());
-    }
+    needed.add(s.region, s.field,
+               it != loop.accessPartition.end()
+                   ? env_->at(it->second).sub(j)
+                   : world_.region(s.region).indexSpace());
   });
-  const Partition& iter = env_->at(loop.iterPartition);
-  std::vector<IndexSet> ownership;
-  const bool needOwnership = hasCenteredWrite(loop) && !iter.isDisjoint();
-  if (needOwnership) ownership = disjointify(iter);
-  const IndexSet* own = needOwnership ? &ownership[j] : nullptr;
-  TaskFootprint footprint = buildFootprint(world_, loop, j, *env_, own);
-  for (const TaskFootprint::Patch& p : footprint.patches()) {
-    addNeed(p.region, p.field, p.indices);
-  }
 
   std::vector<FieldSlice> out;
-  for (const auto& [key, set] : needed) {
-    auto dit = w.dirty.find(fieldKey(key.first, key.second));
+  for (const FieldSlice& s : needed.slices()) {
+    auto dit = w.dirty.find(fieldKey(s.region, s.field));
     if (dit == w.dirty.end()) continue;
-    IndexSet stale = set.intersectWith(dit->second);
+    IndexSet stale = s.indices.intersectWith(dit->second);
     if (stale.empty()) continue;
-    FieldSlice slice;
-    slice.region = key.first;
-    slice.field = key.second;
-    auto column = world_.region(slice.region).f64(slice.field);
-    slice.values.reserve(static_cast<std::size_t>(stale.size()));
-    stale.forEach([&](Index i) {
-      slice.values.push_back(column[static_cast<std::size_t>(i)]);
-    });
     dit->second = dit->second.subtract(stale);
     if (dit->second.empty()) w.dirty.erase(dit);
-    slice.indices = std::move(stale);
-    out.push_back(std::move(slice));
+    out.push_back(gatherSlice(world_, s.region, s.field, std::move(stale)));
   }
   return out;
 }
 
 void Coordinator::sendTask(std::size_t j, const parallelize::PlannedLoop& loop,
-                           std::uint64_t seq, LaunchStats& stats,
-                           bool countGhost) {
+                           std::uint64_t seq, std::vector<FieldSlice> refresh) {
   Worker& w = workers_[j];
   if (w.pid < 0) {
-    ErrorContext ctx;
-    ctx.piece = static_cast<int>(j);
     throw TransportError(w.nodeId, "worker process is not running",
-                         std::move(ctx));
+                         nodeContext(loop, j));
   }
   TaskMsg msg;
   msg.seq = seq;
   msg.loop = loop.loop->name;
   msg.piece = j;
-  msg.refresh = buildRefresh(loop, j);
-  if (countGhost) {
-    stats.ghostElems += sliceElements(msg.refresh);
-    stats.ghostMessages += msg.refresh.size();
-  }
+  msg.refresh = std::move(refresh);
   // A "net:<loop>:<piece>" Poison site puts a genuinely corrupt frame on
   // the wire: the payload is damaged after the CRC is computed, the worker
   // rejects it and dies, and the coordinator's reconnect path must recover.
@@ -261,113 +223,18 @@ void Coordinator::sendTask(std::size_t j, const parallelize::PlannedLoop& loop,
             tamper);
 }
 
-void Coordinator::fireTaskFaults(const parallelize::PlannedLoop& loop,
-                                 std::size_t j, LaunchStats& stats) {
-  FaultInjector* injector = options_.resilience.faultInjector;
-  if (injector == nullptr) return;
-  Worker& w = workers_[j];
-  const std::size_t nodeId = w.nodeId;
-  const std::string site =
-      "task:" + loop.loop->name + ":" + std::to_string(j);
-  const std::string nodeSite = "node:" + std::to_string(nodeId);
-  Tracer* tr = options_.observability.tracer;
-  for (int attempt = 0;; ++attempt) {
-    if (auto fault = injector->fire(nodeSite);
-        fault && fault->kind == FaultKind::PermanentCrash) {
-      // The real thing: SIGKILL the worker process, then escalate as
-      // NodeLossError so only a checkpoint restore with the node removed
-      // (elastic shrink) recovers. The launch has applied nothing to the
-      // coordinator's World, so there is no partial state to roll back.
-      w.killedByInjector = true;
-      if (w.pid >= 0) ::kill(w.pid, SIGKILL);
-      if (tr != nullptr && tr->enabled()) {
-        tr->instant("dist", "node.kill",
-                    "\"node\":" + std::to_string(nodeId) +
-                        ",\"pid\":" + std::to_string(w.pid));
-      }
-      destroyWorker(j, /*sendShutdown=*/false);
-      ErrorContext ctx;
-      ctx.site = nodeSite;
-      ctx.loop = loop.loop->name;
-      ctx.piece = static_cast<int>(j);
-      ctx.attempt = attempt;
-      throw NodeLossError(nodeId, "injected fault: node lost permanently",
-                          std::move(ctx));
-    }
-    auto fault = injector->fire(site);
-    if (!fault) return;
-    ErrorContext ctx;
-    ctx.site = site;
-    ctx.loop = loop.loop->name;
-    ctx.piece = static_cast<int>(j);
-    ctx.attempt = attempt;
-    switch (fault->kind) {
-      case FaultKind::Straggler:
-        stats.stallMicros += fault->stragglerMicros;
-        sleepFor(fault->stragglerMicros);
-        return;
-      case FaultKind::PermanentCrash: {
-        w.killedByInjector = true;
-        if (w.pid >= 0) ::kill(w.pid, SIGKILL);
-        destroyWorker(j, /*sendShutdown=*/false);
-        throw NodeLossError(nodeId, "injected fault: node lost permanently",
-                            std::move(ctx));
-      }
-      case FaultKind::CorruptCheckpoint:
-        return;  // only meaningful at checkpoint:write sites
-      case FaultKind::Poison:
-      case FaultKind::Crash: {
-        const char* what = fault->kind == FaultKind::Poison
-                               ? "injected fault: task result poisoned"
-                               : "injected fault: task crashed mid-run";
-        countError("TaskFailure");
-        // Replay is trivial here: the fault fired before dispatch, so no
-        // worker-side state exists to restore — same observable outcome as
-        // the in-process footprint snapshot/restore cycle.
-        if (!options_.resilience.taskReplay) {
-          throw TaskFailure(what, std::move(ctx));
-        }
-        if (attempt >= options_.resilience.maxTaskRetries) {
-          const TaskFailure inner(what, std::move(ctx));
-          ErrorContext outer = inner.context();
-          outer.attempt = attempt;
-          throw TaskFailure(std::string("task failed after ") +
-                                std::to_string(attempt + 1) +
-                                " attempt(s): " + inner.what(),
-                            std::move(outer));
-        }
-        ++stats.replays;
-        if (tr != nullptr && tr->enabled()) {
-          tr->instant("executor", "task.replay",
-                      "\"site\":\"" + jsonEscape(site) +
-                          "\",\"node\":" + std::to_string(nodeId) +
-                          ",\"attempt\":" + std::to_string(attempt));
-        }
-        if (options_.resilience.retryBackoffMicros > 0) {
-          sleepFor(options_.resilience.retryBackoffMicros << attempt);
-        }
-        continue;
-      }
-    }
-  }
-}
-
 void Coordinator::recoverWorker(std::size_t j,
                                 const parallelize::PlannedLoop& loop,
                                 int& reconnects, const std::string& why) {
   Worker& w = workers_[j];
   const std::size_t nodeId = w.nodeId;
-  ErrorContext ctx;
-  ctx.site = "node:" + std::to_string(nodeId);
-  ctx.loop = loop.loop->name;
-  ctx.piece = static_cast<int>(j);
   MetricsRegistry* mx = options_.observability.metrics;
   Tracer* tr = options_.observability.tracer;
   if (w.killedByInjector) {
     // A deliberate kill is a node loss, not a flaky link: no reconnect.
     destroyWorker(j, /*sendShutdown=*/false);
     throw NodeLossError(nodeId, "worker process killed by fault injection",
-                        std::move(ctx));
+                        nodeContext(loop, j));
   }
   for (;;) {
     if (reconnects >= options_.distributed.maxReconnects) {
@@ -376,7 +243,7 @@ void Coordinator::recoverWorker(std::size_t j,
           nodeId,
           "worker lost after " + std::to_string(reconnects) +
               " reconnect attempt(s): " + why,
-          std::move(ctx));
+          nodeContext(loop, j));
     }
     // Capped exponential backoff, routed through the sleep hook so tests
     // (and simulations) observe the schedule without real waiting.
@@ -393,20 +260,49 @@ void Coordinator::recoverWorker(std::size_t j,
                       ",\"backoff_us\":" + std::to_string(backoff) +
                       ",\"why\":\"" + jsonEscape(why) + "\"");
     }
-    sleepFor(backoff);
+    sleepFor(options_, backoff);
     destroyWorker(j, /*sendShutdown=*/false);
     spawnWorker(j);
     try {
       // The respawned worker is a fresh copy-on-write snapshot of the
       // coordinator (results are only applied after the full launch
       // collects), so the resent task needs no refresh slices.
-      LaunchStats ignore;
-      sendTask(j, loop, launchSeq_, ignore, /*countGhost=*/false);
+      sendTask(j, loop, launchSeq_, {});
       if (mx != nullptr) mx->counter("executor.net.retriesTotal").inc();
       return;
     } catch (const TransportError&) {
-      countError("TransportError");
+      countError(options_, "TransportError");
     }
+  }
+}
+
+void Coordinator::checkResult(const parallelize::PlannedLoop& loop,
+                              const ResultMsg& res) const {
+  // Every cell a Result writes must exist: indices [lo, hi) of an F64 field.
+  auto check = [&](const std::string& region, const std::string& field,
+                   Index lo, Index hi) {
+    if (!world_.hasRegion(region) || !world_.region(region).hasField(field) ||
+        world_.region(region).fieldType(field) != region::FieldType::F64 ||
+        lo < 0 || hi > world_.region(region).size()) {
+      throw CheckpointCorruption("Result writes outside " + region + "." +
+                                 field);
+    }
+  };
+  for (const FieldSlice& s : res.writes) {
+    check(s.region, s.field, s.indices.empty() ? 0 : s.indices.lowerBound(),
+          s.indices.empty() ? 0 : s.indices.upperBound());
+  }
+  for (const BufferedReduce& br : res.reduces) {
+    const ir::Stmt* stmt = loop.loop->stmt(br.stmtId);
+    if (stmt == nullptr || stmt->kind != ir::StmtKind::ReduceF64) {
+      throw CheckpointCorruption("Result names unknown reduce stmt " +
+                                 std::to_string(br.stmtId));
+    }
+    const auto [lo, hi] = std::minmax_element(
+        br.entries.begin(), br.entries.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    check(stmt->region, stmt->field, br.entries.empty() ? 0 : lo->first,
+          br.entries.empty() ? 0 : hi->first + 1);
   }
 }
 
@@ -424,45 +320,35 @@ void Coordinator::applyResults(const parallelize::PlannedLoop& loop,
   // task execution in the in-process backend, before any buffer merge.
   for (std::size_t j = 0; j < n; ++j) {
     for (const FieldSlice& s : results[j].writes) {
-      auto column = world_.region(s.region).f64(s.field);
-      std::size_t k = 0;
-      s.indices.forEach([&](Index i) {
-        column[static_cast<std::size_t>(i)] = s.values[k++];
-      });
+      scatterSlice(world_, s);
       // Every other worker's fork now disagrees with these cells.
       for (std::size_t m = 0; m < n; ++m) {
         if (m != j) markDirty(m, s.region, s.field, s.indices);
       }
     }
   }
-  // Then buffered-reduction merges in exactly the in-process order: piece
-  // ascending, stmtId ascending, entries sorted by target index (the worker
-  // ships TaskKernel::bufferedReductions() as is) — bitwise-identical
-  // floating-point results.
+  // Then the shared deterministic reduction merge (the worker ships
+  // TaskKernel::bufferedReductions() as is), so results are bitwise
+  // identical to the in-process backend's.
+  std::vector<std::vector<BufferedReduce>> buffers(n);
   for (std::size_t j = 0; j < n; ++j) {
-    for (const ReduceSlice& rs : results[j].reduces) {
-      const ir::Stmt* stmt = loop.loop->stmt(static_cast<int>(rs.stmtId));
-      DPART_CHECK(stmt != nullptr,
-                  "worker result names unknown reduce stmt " +
-                      std::to_string(rs.stmtId));
-      auto column = world_.region(stmt->region).f64(stmt->field);
-      std::vector<Index> touched;
-      touched.reserve(rs.entries.size());
-      for (const auto& [target, value] : rs.entries) {
-        double& cell = column[static_cast<std::size_t>(target)];
-        cell = ir::applyReduce(static_cast<ir::ReduceOp>(rs.op), cell, value);
-        touched.push_back(target);
-      }
-      // Merged cells are stale on EVERY fork, including the contributor's:
-      // its local copy buffered the contribution without applying it.
-      const IndexSet touchedSet = IndexSet::fromIndices(std::move(touched));
-      for (std::size_t m = 0; m < n; ++m) {
-        markDirty(m, stmt->region, stmt->field, touchedSet);
-      }
-      stats.bufferedElements += rs.entries.size();
-    }
+    buffers[j] = std::move(results[j].reduces);
     stats.taskSeconds[j] = results[j].taskSeconds;
   }
+  stats.bufferedElements = mergeReductions(
+      world_, *loop.loop, buffers,
+      [&](const ir::Stmt& stmt, const BufferedReduce& br) {
+        // Merged cells are stale on EVERY fork, including the
+        // contributor's: its local copy buffered the contribution without
+        // applying it.
+        std::vector<Index> touched;
+        touched.reserve(br.entries.size());
+        for (const auto& entry : br.entries) touched.push_back(entry.first);
+        const IndexSet touchedSet = IndexSet::fromIndices(std::move(touched));
+        for (std::size_t m = 0; m < n; ++m) {
+          markDirty(m, stmt.region, stmt.field, touchedSet);
+        }
+      });
 }
 
 void Coordinator::publishNetMetrics() {
@@ -479,7 +365,8 @@ void Coordinator::publishNetMetrics() {
   publishedNet_ = net_;
 }
 
-LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
+LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop,
+                                 TaskTallies& tallies) {
   DPART_CHECK(spawned_, "ensureWorkers() must precede runLoop()");
   const std::size_t n = pieces();
   LaunchStats stats;
@@ -488,20 +375,39 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
   MetricsRegistry* mx = options_.observability.metrics;
   Tracer* tr = options_.observability.tracer;
 
-  // Coordinator-side fault sites fire before dispatch (in-process arrival
-  // order: node site, then task site, per attempt), so "node:<id>" maps to
-  // a real SIGKILL and task replays re-roll the injector without any
-  // worker-side state to unwind.
-  for (std::size_t j = 0; j < n; ++j) fireTaskFaults(loop, j, stats);
+  // The shared attempt policy runs before dispatch: a task's death is
+  // injected before the worker ever sees the task, so a replay has nothing
+  // to roll back, and a lost node is a real SIGKILL of its worker. The
+  // launch has applied nothing to the World yet either way.
+  for (std::size_t j = 0; j < n; ++j) {
+    Worker& w = workers_[j];
+    TaskBody body;
+    body.die = [&](const Fault& fault) {
+      if (fault.kind != FaultKind::PermanentCrash) return;
+      // Its loss escalates as NodeLossError, never through reconnects.
+      w.killedByInjector = true;
+      if (tr != nullptr && tr->enabled()) {
+        tr->instant("dist", "node.kill",
+                    "\"node\":" + std::to_string(w.nodeId) +
+                        ",\"pid\":" + std::to_string(w.pid));
+      }
+      destroyWorker(j, /*sendShutdown=*/false);
+    };
+    runTaskAttempts(options_, loop.loop->name, j, w.nodeId, tallies, body);
+  }
 
   // Dispatch: refresh slices (the ghost exchange) + launch order, with a
   // bounded respawn-and-resend path for transient transport failures.
+  const Ownership ownership(loop, env_->at(loop.iterPartition));
   int reconnects = 0;
   for (std::size_t j = 0; j < n; ++j) {
     try {
-      sendTask(j, loop, seq, stats, /*countGhost=*/true);
+      std::vector<FieldSlice> refresh = buildRefresh(loop, ownership, j);
+      stats.ghostElems += sliceElements(refresh);
+      stats.ghostMessages += refresh.size();
+      sendTask(j, loop, seq, std::move(refresh));
     } catch (const TransportError&) {
-      countError("TransportError");
+      countError(options_, "TransportError");
       recoverWorker(j, loop, reconnects, "task dispatch failed");
     }
   }
@@ -529,70 +435,53 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
   for (Worker& w : workers_) w.lastPongMicros = now;
   std::uint64_t nextPing = now + hbInterval;
 
+  // Any frame this launch cannot use throws TransportError: the worker's
+  // stream is no longer trustworthy, so it takes the reconnect path.
   auto handleData = [&](std::size_t j) {
     Worker& w = workers_[j];
     auto frame = recvFrame(w.dataFd, options_.distributed.recvTimeoutMicros,
                            options_.distributed.maxFrameBytes, w.nodeId,
                            &net_);
     if (!frame.has_value()) {
-      countError("TransportError");
-      recoverWorker(j, loop, reconnects, "worker closed its data channel");
-      return;
+      throw TransportError(w.nodeId, "worker closed its data channel");
     }
-    if (frame->type == MsgType::Result) {
-      ResultMsg res;
-      try {
-        BinaryReader r(frame->payload);
-        res = decodeResult(r);
-      } catch (const CheckpointCorruption& e) {
-        countError("TransportError");
-        recoverWorker(j, loop, reconnects,
-                      std::string("malformed Result payload: ") + e.what());
+    try {
+      BinaryReader r(frame->payload);
+      if (frame->type == MsgType::Result) {
+        ResultMsg res = decodeResult(r);
+        if (res.seq != seq || res.piece != j) {
+          throw TransportError(w.nodeId, "out-of-order Result frame");
+        }
+        // Rejected here, a bad Result cannot fail the apply halfway.
+        checkResult(loop, res);
+        results[j] = std::move(res);
+        done[j] = true;
+        --remaining;
         return;
       }
-      if (res.seq != seq || res.piece != j) {
-        // A stale or reordered acknowledgment; the worker's stream is no
-        // longer trustworthy for this launch.
-        countError("TransportError");
-        recoverWorker(j, loop, reconnects, "out-of-order Result frame");
-        return;
+      if (frame->type == MsgType::TaskError) {
+        const TaskErrorMsg err = decodeTaskError(r);
+        // Dispatch on the stable numeric code, not the kind string. A
+        // PartitionViolation is a legality failure and must propagate as
+        // itself (replay would just violate again); every other code — a
+        // worker-side TaskFailure, EvalFailure, plain Error — escalates as
+        // a retryable TaskFailure so the bounded replay policy applies.
+        if (err.code == ErrorCode::PartitionViolation) {
+          throw PartitionViolation("worker reported: " + err.what,
+                                   nodeContext(loop, j));
+        }
+        countError(options_, "TaskFailure");
+        throw TaskFailure("worker reported: " + err.what,
+                          nodeContext(loop, j));
       }
-      results[j] = std::move(res);
-      done[j] = true;
-      --remaining;
-      return;
+    } catch (const CheckpointCorruption& e) {
+      throw TransportError(w.nodeId, std::string("malformed ") +
+                                         toString(frame->type) +
+                                         " payload: " + e.what());
     }
-    if (frame->type == MsgType::TaskError) {
-      TaskErrorMsg err;
-      try {
-        BinaryReader r(frame->payload);
-        err = decodeTaskError(r);
-      } catch (const CheckpointCorruption& e) {
-        countError("TransportError");
-        recoverWorker(j, loop, reconnects,
-                      std::string("malformed TaskError payload: ") + e.what());
-        return;
-      }
-      ErrorContext ctx;
-      ctx.site = "node:" + std::to_string(w.nodeId);
-      ctx.loop = loop.loop->name;
-      ctx.piece = static_cast<int>(j);
-      // Dispatch on the stable numeric code, not the kind string. A
-      // PartitionViolation is a legality failure and must propagate as
-      // itself (replay would just violate again); every other code — a
-      // worker-side TaskFailure, EvalFailure, plain Error — escalates as a
-      // retryable TaskFailure so the bounded replay policy applies.
-      if (err.code == ErrorCode::PartitionViolation) {
-        throw PartitionViolation("worker reported: " + err.what,
-                                 std::move(ctx));
-      }
-      countError("TaskFailure");
-      throw TaskFailure("worker reported: " + err.what, std::move(ctx));
-    }
-    countError("TransportError");
-    recoverWorker(j, loop, reconnects,
-                  std::string("unexpected ") + toString(frame->type) +
-                      " frame on the data channel");
+    throw TransportError(w.nodeId, std::string("unexpected ") +
+                                       toString(frame->type) +
+                                       " frame on the data channel");
   };
 
   while (remaining > 0) {
@@ -626,18 +515,12 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
                           ",\"silent_us\":" +
                           std::to_string(now - w.lastPongMicros));
         }
-        const std::size_t nodeId = w.nodeId;
-        ::kill(w.pid, SIGKILL);
         destroyWorker(j, /*sendShutdown=*/false);
-        ErrorContext ctx;
-        ctx.site = "node:" + std::to_string(nodeId);
-        ctx.loop = loop.loop->name;
-        ctx.piece = static_cast<int>(j);
-        throw NodeLossError(nodeId,
+        throw NodeLossError(w.nodeId,
                             "worker heartbeat timed out after " +
                                 std::to_string(now - w.lastPongMicros) +
                                 "us",
-                            std::move(ctx));
+                            nodeContext(loop, j));
       }
     }
 
@@ -654,7 +537,7 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
       // Every undone worker is dead with no fd to watch; recover them.
       for (std::size_t j = 0; j < n; ++j) {
         if (!done[j] && workers_[j].pid < 0) {
-          countError("TransportError");
+          countError(options_, "TransportError");
           recoverWorker(j, loop, reconnects, "worker process is gone");
         }
       }
@@ -700,7 +583,7 @@ LaunchStats Coordinator::runLoop(const parallelize::PlannedLoop& loop) {
         try {
           handleData(j);
         } catch (const TransportError& e) {
-          countError("TransportError");
+          countError(options_, "TransportError");
           recoverWorker(j, loop, reconnects, e.what());
         }
         // A respawn replaced fds; the rest of this poll round is stale.

@@ -11,21 +11,11 @@
 #include "parallelize/parallelize.hpp"
 #include "region/partition.hpp"
 #include "region/world.hpp"
-#include "runtime/options.hpp"
 #include "runtime/distributed/wire.hpp"
+#include "runtime/options.hpp"
+#include "runtime/task_exec.hpp"
 
 namespace dpart::runtime::dist {
-
-/// What one distributed launch did, folded back into the executor's
-/// resilience/observability tallies so both backends report identically.
-struct LaunchStats {
-  std::vector<double> taskSeconds;     ///< per piece, worker CPU seconds
-  std::size_t bufferedElements = 0;    ///< reduction-buffer entries merged
-  std::size_t replays = 0;             ///< injected-fault task replays
-  std::uint64_t stallMicros = 0;       ///< injected straggler stalls
-  std::uint64_t ghostElems = 0;        ///< refresh elements shipped
-  std::uint64_t ghostMessages = 0;     ///< non-empty refresh slices shipped
-};
 
 /// The coordinator of the multi-process shared-nothing backend
 /// (docs/distributed-backend.md).
@@ -43,6 +33,10 @@ struct LaunchStats {
 /// escalation (NodeLossError, TaskFailure, PartitionViolation) before the
 /// apply leaves the World untouched, so the executor's existing
 /// checkpoint-restore / elastic-shrink recovery works unchanged.
+///
+/// Task faults go through the shared attempt policy (runTaskAttempts) before
+/// dispatch, so replays re-roll the injector without any worker-side state
+/// to unwind; a task's death here means a real SIGKILL of its worker.
 ///
 /// Liveness: the coordinator pings every busy worker's control channel at
 /// heartbeatIntervalMicros; a worker that misses pongs for
@@ -69,10 +63,12 @@ class Coordinator {
                      const std::vector<std::size_t>& liveNodes,
                      std::uint64_t prepareEpoch);
 
-  /// Runs one loop launch across the fleet (see class comment). Throws
-  /// NodeLossError / TaskFailure / PartitionViolation with the same
-  /// semantics as the in-process executor.
-  [[nodiscard]] LaunchStats runLoop(const parallelize::PlannedLoop& loop);
+  /// Runs one loop launch across the fleet (see class comment), adding its
+  /// task replays and stalls to `tallies`. Throws NodeLossError /
+  /// TaskFailure / PartitionViolation with the same semantics as the
+  /// in-process executor.
+  [[nodiscard]] LaunchStats runLoop(const parallelize::PlannedLoop& loop,
+                                    TaskTallies& tallies);
 
   /// Shuts the fleet down (Shutdown frame, then SIGKILL, then reap). Safe
   /// to call repeatedly; the destructor calls it.
@@ -123,20 +119,22 @@ class Coordinator {
   /// deliberate (killedByInjector / heartbeat timeout).
   void recoverWorker(std::size_t j, const parallelize::PlannedLoop& loop,
                      int& reconnects, const std::string& why);
+  /// Context of a failure of worker j's task: its node site, loop, piece.
+  [[nodiscard]] ErrorContext nodeContext(const parallelize::PlannedLoop& loop,
+                                         std::size_t j) const;
   [[nodiscard]] std::vector<FieldSlice> buildRefresh(
-      const parallelize::PlannedLoop& loop, std::size_t j);
+      const parallelize::PlannedLoop& loop, const Ownership& ownership,
+      std::size_t j);
   void sendTask(std::size_t j, const parallelize::PlannedLoop& loop,
-                std::uint64_t seq, LaunchStats& stats, bool countGhost);
-  /// Fires the coordinator-side "node:"/"task:" fault sites for piece j,
-  /// mirroring the in-process replay semantics. Returns the number of
-  /// replays simulated.
-  void fireTaskFaults(const parallelize::PlannedLoop& loop, std::size_t j,
-                      LaunchStats& stats);
+                std::uint64_t seq, std::vector<FieldSlice> refresh);
+  /// Throws CheckpointCorruption unless every write-back and reduction
+  /// buffer of `res` lands inside the World on a statement of `loop`, so
+  /// applyResults cannot fail halfway.
+  void checkResult(const parallelize::PlannedLoop& loop,
+                   const ResultMsg& res) const;
   void applyResults(const parallelize::PlannedLoop& loop,
                     std::vector<ResultMsg>& results, LaunchStats& stats);
   void publishNetMetrics();
-  void countError(const char* kind) const;
-  void sleepFor(std::uint64_t micros) const;
   [[nodiscard]] std::size_t pieces() const { return workers_.size(); }
 
   region::World& world_;

@@ -1,5 +1,7 @@
 #include "runtime/distributed/wire.hpp"
 
+#include <limits>
+
 #include "region/snapshot.hpp"
 #include "support/check.hpp"
 
@@ -21,14 +23,19 @@ void writeSlices(BinaryWriter& w, const std::vector<FieldSlice>& slices) {
 }
 
 std::vector<FieldSlice> readSlices(BinaryReader& r) {
-  const std::uint64_t n = r.u64();
+  // Smallest slice: region name, field name, empty index set.
+  const std::size_t n = r.count(2 * 8 + region::kMinIndexSetBytes);
   std::vector<FieldSlice> slices;
-  slices.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
+  slices.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     FieldSlice s;
     s.region = r.str();
     s.field = r.str();
     s.indices = region::readIndexSet(r);
+    // A few runs can declare an index set far larger than its values.
+    if (s.indices.size() > static_cast<region::Index>(r.remaining() / 8)) {
+      throw CheckpointCorruption("field slice values past the payload end");
+    }
     s.values.reserve(static_cast<std::size_t>(s.indices.size()));
     for (region::Index k = 0; k < s.indices.size(); ++k) {
       s.values.push_back(r.f64());
@@ -99,11 +106,11 @@ std::vector<std::uint8_t> encodeResult(const ResultMsg& m) {
   w.u64(m.piece);
   writeSlices(w, m.writes);
   w.u64(m.reduces.size());
-  for (const ReduceSlice& rs : m.reduces) {
-    w.i64(rs.stmtId);
-    w.u8(rs.op);
-    w.u64(rs.entries.size());
-    for (const auto& [target, value] : rs.entries) {
+  for (const BufferedReduce& br : m.reduces) {
+    w.i64(br.stmtId);
+    w.u8(static_cast<std::uint8_t>(br.op));
+    w.u64(br.entries.size());
+    for (const auto& [target, value] : br.entries) {
       w.i64(target);
       w.f64(value);
     }
@@ -117,20 +124,30 @@ ResultMsg decodeResult(BinaryReader& r) {
   m.seq = r.u64();
   m.piece = r.u64();
   m.writes = readSlices(r);
-  const std::uint64_t nReduces = r.u64();
-  m.reduces.reserve(static_cast<std::size_t>(nReduces));
-  for (std::uint64_t i = 0; i < nReduces; ++i) {
-    ReduceSlice rs;
-    rs.stmtId = r.i64();
-    rs.op = r.u8();
-    const std::uint64_t nEntries = r.u64();
-    rs.entries.reserve(static_cast<std::size_t>(nEntries));
-    for (std::uint64_t k = 0; k < nEntries; ++k) {
+  // Smallest buffer: stmt id, op byte, entry count.
+  const std::size_t nReduces = r.count(8 + 1 + 8);
+  m.reduces.reserve(nReduces);
+  for (std::size_t i = 0; i < nReduces; ++i) {
+    BufferedReduce br;
+    const std::int64_t stmtId = r.i64();
+    if (stmtId < 0 || stmtId > std::numeric_limits<int>::max()) {
+      throw CheckpointCorruption("reduction buffer has bad stmt id");
+    }
+    br.stmtId = static_cast<int>(stmtId);
+    const std::uint8_t op = r.u8();
+    if (op > static_cast<std::uint8_t>(ir::ReduceOp::Max)) {
+      throw CheckpointCorruption("reduction buffer has unknown reduce op " +
+                                 std::to_string(op));
+    }
+    br.op = static_cast<ir::ReduceOp>(op);
+    const std::size_t nEntries = r.count(2 * 8);
+    br.entries.reserve(nEntries);
+    for (std::size_t k = 0; k < nEntries; ++k) {
       const region::Index target = r.i64();
       const double value = r.f64();
-      rs.entries.emplace_back(target, value);
+      br.entries.emplace_back(target, value);
     }
-    m.reduces.push_back(std::move(rs));
+    m.reduces.push_back(std::move(br));
   }
   m.taskSeconds = r.f64();
   r.expectEnd();

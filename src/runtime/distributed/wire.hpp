@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "region/index_set.hpp"
+#include "runtime/task_exec.hpp"
 #include "support/check.hpp"
 #include "support/framing.hpp"
 #include "support/serialize.hpp"
@@ -66,18 +67,6 @@ void sendFrame(int fd, MsgType type, std::span<const std::uint8_t> payload,
                                              std::size_t node,
                                              NetCounters* counters = nullptr);
 
-/// One (region, field) slice of F64 column data with its index set —
-/// the unit of both ghost refresh (coordinator -> worker) and write-back
-/// (worker -> coordinator). Values are bit-exact: doubles travel as their
-/// IEEE-754 bit patterns (BinaryWriter::f64), which is what makes the
-/// multi-process backend bitwise identical to the in-process one.
-struct FieldSlice {
-  std::string region;
-  std::string field;
-  region::IndexSet indices;
-  std::vector<double> values;  ///< one per index, in ascending index order
-};
-
 /// Launch order for one task (Task payload).
 struct TaskMsg {
   std::uint64_t seq = 0;    ///< launch sequence number, echoed by Result
@@ -86,21 +75,13 @@ struct TaskMsg {
   std::vector<FieldSlice> refresh;  ///< stale cells to overwrite before run
 };
 
-/// One reduce statement's buffered contributions (Result payload).
-struct ReduceSlice {
-  std::int64_t stmtId = 0;
-  std::uint8_t op = 0;  ///< ir::ReduceOp
-  /// (target, accumulated value), sorted by target — the order the
-  /// in-process merge applies.
-  std::vector<std::pair<region::Index, double>> entries;
-};
-
 /// Task outcome (Result payload).
 struct ResultMsg {
   std::uint64_t seq = 0;
   std::uint64_t piece = 0;
   std::vector<FieldSlice> writes;  ///< the task's in-place write footprint
-  std::vector<ReduceSlice> reduces;  ///< sorted by stmtId
+  /// TaskKernel::bufferedReductions(): sorted by stmt id, entries by target.
+  std::vector<BufferedReduce> reduces;
   double taskSeconds = 0;  ///< worker-side thread CPU seconds
 };
 

@@ -16,7 +16,6 @@ namespace dpart::runtime::dist {
 
 namespace {
 
-using region::Index;
 using region::IndexSet;
 
 /// Blocks until `fd` is readable or hung up (no deadline: idle waits
@@ -51,19 +50,6 @@ void heartbeatLoop(const WorkerConfig& cfg) {
   }
 }
 
-/// Overwrites the worker's stale cells with the coordinator's
-/// authoritative values (the explicit ghost-region exchange).
-void applyRefresh(region::World& world,
-                  const std::vector<FieldSlice>& refresh) {
-  for (const FieldSlice& s : refresh) {
-    auto column = world.region(s.region).f64(s.field);
-    std::size_t k = 0;
-    s.indices.forEach([&](Index i) {
-      column[static_cast<std::size_t>(i)] = s.values[k++];
-    });
-  }
-}
-
 const parallelize::PlannedLoop* findLoop(const parallelize::ParallelPlan& plan,
                                          const std::string& name) {
   for (const parallelize::PlannedLoop& pl : plan.loops) {
@@ -84,16 +70,15 @@ ResultMsg runTask(const WorkerConfig& cfg, const TaskMsg& task) {
   const region::Partition& iter = env.at(loop->iterPartition);
   DPART_CHECK(j < iter.count(), "task piece out of range");
 
-  applyRefresh(*cfg.world, task.refresh);
+  // The explicit ghost-region exchange: the coordinator's authoritative
+  // values overwrite the worker's stale cells.
+  for (const FieldSlice& s : task.refresh) scatterSlice(*cfg.world, s);
 
   // Ownership guards, write rules and footprints are derived exactly as in
   // the in-process path — from the same (fork-inherited) partitions, so
   // both backends make identical write/skip decisions.
-  std::vector<IndexSet> ownership;
-  const bool needOwnership = hasCenteredWrite(*loop) && !iter.isDisjoint();
-  if (needOwnership) ownership = disjointify(iter);
-  const IndexSet* own = needOwnership ? &ownership[j] : nullptr;
-
+  const Ownership ownership(*loop, iter);
+  const IndexSet* own = ownership.of(j);
   TaskFootprint footprint = buildFootprint(*cfg.world, *loop, j, env, own);
   TaskKernel kernel(*cfg.world, *loop, j, env, cfg.validateAccesses, own);
   kernel.run(iter.sub(j));
@@ -101,26 +86,11 @@ ResultMsg runTask(const WorkerConfig& cfg, const TaskMsg& task) {
   ResultMsg result;
   result.seq = task.seq;
   result.piece = task.piece;
-  for (const TaskFootprint::Patch& p : footprint.patches()) {
-    FieldSlice slice;
-    slice.region = p.region;
-    slice.field = p.field;
-    slice.indices = p.indices;
-    slice.values.reserve(static_cast<std::size_t>(p.indices.size()));
-    p.indices.forEach([&](Index i) {
-      slice.values.push_back(p.column[static_cast<std::size_t>(i)]);
-    });
-    result.writes.push_back(std::move(slice));
-  }
-  // Slices arrive in stmt id order, entries sorted by target: the order
+  footprint.capture();
+  result.writes = footprint.take();
+  // Buffers arrive in stmt id order, entries sorted by target: the order
   // the deterministic merge applies them in.
-  for (BufferedReduce& br : kernel.bufferedReductions()) {
-    ReduceSlice rs;
-    rs.stmtId = br.stmtId;
-    rs.op = static_cast<std::uint8_t>(br.op);
-    rs.entries = std::move(br.entries);
-    result.reduces.push_back(std::move(rs));
-  }
+  result.reduces = kernel.bufferedReductions();
   result.taskSeconds = timer.seconds();
   return result;
 }

@@ -18,6 +18,7 @@
 #include "runtime/checkpoint.hpp"
 #include "runtime/options.hpp"
 #include "runtime/rebalance.hpp"
+#include "runtime/task_exec.hpp"
 #include "support/fault.hpp"
 #include "support/perf_counters.hpp"
 #include "support/thread_pool.hpp"
@@ -27,31 +28,7 @@ namespace dpart::runtime {
 
 namespace dist {
 class Coordinator;
-struct LaunchStats;
 }  // namespace dist
-
-/// A node died for good (FaultKind::PermanentCrash on a "node:<id>" site, or
-/// a task that exhausted its replays and whose host is therefore presumed
-/// dead). Deliberately NOT a TaskFailure: in-place replay must not catch it —
-/// the only recovery is a checkpoint restore with the node removed from the
-/// machine (elastic shrink).
-class NodeLossError : public Error {
- public:
-  NodeLossError(std::size_t node, const std::string& what,
-                ErrorContext context = {})
-      : Error(what + context.describe()),
-        node_(node),
-        context_(std::move(context)) {}
-  [[nodiscard]] ErrorCode errorCode() const noexcept override {
-    return ErrorCode::NodeLoss;
-  }
-  [[nodiscard]] std::size_t node() const { return node_; }
-  [[nodiscard]] const ErrorContext& context() const { return context_; }
-
- private:
-  std::size_t node_;
-  ErrorContext context_;
-};
 
 /// Derives the legality properties a plan assumes of its evaluated
 /// partitions. The implementation lives in parallelize (proof certificates
@@ -106,7 +83,9 @@ class PlanExecutor {
   void verifyPartitions() const;
 
   /// Task replays performed so far (ResilienceOptions::taskReplay mode).
-  [[nodiscard]] std::size_t taskReplays() const { return replays_.load(); }
+  [[nodiscard]] std::size_t taskReplays() const {
+    return tallies_.replays.load();
+  }
 
   /// Checkpoint restores performed so far (checkpointing mode).
   [[nodiscard]] std::size_t checkpointRestores() const {
@@ -128,7 +107,8 @@ class PlanExecutor {
   /// level. Kept out of every operator wall-time counter so the bench JSON
   /// stays comparable between faulty and fault-free runs.
   [[nodiscard]] std::uint64_t injectedStallMicros() const {
-    return stallMicros_.load() + evaluator_.counters().injectedStallMicros;
+    return tallies_.stallMicros.load() +
+           evaluator_.counters().injectedStallMicros;
   }
 
   /// The CheckpointManager behind this executor, or nullptr when
@@ -168,15 +148,9 @@ class PlanExecutor {
   [[nodiscard]] dist::Coordinator* coordinator() { return coordinator_.get(); }
 
  private:
-  /// Sleeps via ResilienceOptions::sleepMicros when set, for real otherwise.
-  void sleepFor(std::uint64_t micros) const;
-
   [[nodiscard]] Tracer* tracer() const {
     return options_.observability.tracer;
   }
-
-  /// Bumps errorsTotal{kind=...} (no-op without a metrics registry).
-  void countError(const char* kind) const;
 
   /// Takes one checkpoint at the current launch index.
   void checkpoint();
@@ -193,11 +167,10 @@ class PlanExecutor {
     return rebalancedBases_.empty() ? plan_.dpl : activeDpl_;
   }
 
-  /// Runs one launch on the multi-process backend: syncs the worker fleet
-  /// with the current prepare epoch, delegates to the Coordinator, and
-  /// folds its LaunchStats into the executor's tallies.
-  void runLoopDistributed(const parallelize::PlannedLoop& loop,
-                          TraceSpan& launchSpan);
+  /// Runs one launch's tasks on the thread pool, then merges their
+  /// reduction buffers.
+  [[nodiscard]] LaunchStats runLoopInProcess(
+      const parallelize::PlannedLoop& loop);
 
   /// Publishes the per-piece task seconds and imbalance of one completed
   /// launch (both backends report through this).
@@ -220,7 +193,8 @@ class PlanExecutor {
   dpl::Evaluator evaluator_;
   bool prepared_ = false;
   std::size_t bufferedElements_ = 0;
-  std::atomic<std::size_t> replays_{0};
+  /// Task replays and straggler stalls, added to by both backends.
+  TaskTallies tallies_;
   /// Node ids still alive; task j of a launch runs on liveNodes_[j], and
   /// pieces_ == liveNodes_.size() at all times.
   std::vector<std::size_t> liveNodes_;
@@ -250,7 +224,6 @@ class PlanExecutor {
   std::uint64_t launchesDone_ = 0;
   std::size_t checkpointRestores_ = 0;
   std::size_t elasticShrinks_ = 0;
-  std::atomic<std::uint64_t> stallMicros_{0};
 };
 
 }  // namespace dpart::runtime

@@ -76,8 +76,9 @@ struct RebalancePolicy {
   /// Launches of a loop observed before its imbalance is trusted (the first
   /// launches include cold caches and partition materialization jitter).
   /// The loop's very first launch establishes the observation window's
-  /// metric baseline and is never counted, so the earliest possible trigger
-  /// is after launch warmupLaunches + 1.
+  /// metric baseline and is never counted, and persistence needs at least
+  /// two counted launches, so the earliest possible trigger is after launch
+  /// max(warmupLaunches, 2) + 1.
   int warmupLaunches = 2;
   /// Launches observed under the *new* partition before the loop may
   /// trigger again (the window resets on every rebalance).

@@ -29,15 +29,21 @@ void Rebalancer::restartWindow(Window& w, const std::string& loop,
   for (std::size_t j = 0; j < pieces; ++j) {
     w.baseSeconds[j] = taskSecondsGauge(*metrics_, loop, j).value();
   }
+  w.lastSeconds = w.baseSeconds;
   w.launches = 0;
   w.meanSeconds.clear();
   w.imbalance = 0;
+  w.slowest = -1;
+  w.steady = true;
 }
 
 void Rebalancer::observe(const std::string& loop, std::size_t pieces) {
   Window& w = windows_[loop];
   if (w.pieces != pieces) restartWindow(w, loop, pieces);
-  w.launches = launchCounter(*metrics_, loop).value() - w.baseLaunches;
+  const std::uint64_t launches =
+      launchCounter(*metrics_, loop).value() - w.baseLaunches;
+  const bool fresh = launches > w.launches;
+  w.launches = launches;
   if (w.launches == 0) {
     w.meanSeconds.clear();
     w.imbalance = 0;
@@ -46,13 +52,27 @@ void Rebalancer::observe(const std::string& loop, std::size_t pieces) {
   w.meanSeconds.resize(pieces);
   double total = 0;
   double worst = 0;
+  std::size_t slowest = 0;
+  double slowestSeconds = -1;
   for (std::size_t j = 0; j < pieces; ++j) {
-    const double delta =
-        taskSecondsGauge(*metrics_, loop, j).value() - w.baseSeconds[j];
-    const double mean = delta / static_cast<double>(w.launches);
+    const double now = taskSecondsGauge(*metrics_, loop, j).value();
+    const double mean =
+        (now - w.baseSeconds[j]) / static_cast<double>(w.launches);
     w.meanSeconds[j] = mean;
     total += mean;
     worst = std::max(worst, mean);
+    if (now - w.lastSeconds[j] > slowestSeconds) {
+      slowestSeconds = now - w.lastSeconds[j];
+      slowest = j;
+    }
+    w.lastSeconds[j] = now;
+  }
+  // Skew is a piece that is slow every time; on a shared host, noise makes
+  // a different piece the slowest from one launch to the next.
+  if (fresh) {
+    const auto piece = static_cast<std::ptrdiff_t>(slowest);
+    w.steady = w.steady && (w.slowest < 0 || w.slowest == piece);
+    w.slowest = piece;
   }
   // Sub-threshold launches are scheduler noise, not a balance signal: hold
   // the window at "no opinion" rather than trigger on microsecond jitter.
@@ -74,12 +94,16 @@ bool Rebalancer::shouldRebalance(const std::string& loop) const {
   if (it == windows_.end()) return false;
   const Window& w = it->second;
   // Warmup before the first trigger; after a rebalance the window restarts,
-  // so the same bound doubles as the cooldown under the new partition.
+  // so the same bound doubles as the cooldown under the new partition. The
+  // same piece must have been the slowest in every launch of the window,
+  // and a single launch cannot show persistence.
   const int need = w.rebalanced
                        ? std::max(policy_.warmupLaunches,
                                   policy_.cooldownLaunches)
                        : policy_.warmupLaunches;
-  if (w.launches < static_cast<std::uint64_t>(std::max(1, need))) return false;
+  if (!w.steady || w.launches < static_cast<std::uint64_t>(std::max(2, need))) {
+    return false;
+  }
   double threshold = policy_.triggerImbalance;
   if (w.rebalanced) threshold *= 1.0 + policy_.hysteresis;
   return w.imbalance >= threshold;

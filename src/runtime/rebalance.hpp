@@ -39,7 +39,9 @@ MetricCounter& launchCounter(MetricsRegistry& metrics, const std::string& loop);
 /// (max piece time / mean piece time), a hysteresis band widening the
 /// threshold for repeat triggers on the same loop, a cooldown of launches
 /// under the new partition before the loop may trigger again, and a cap on
-/// total rebalances. Uniform workloads must never trigger.
+/// total rebalances. The imbalance must also persist: the same piece must
+/// be the slowest in every launch of the window. Uniform workloads must
+/// never trigger.
 ///
 /// Not thread-safe: the executor drives it from the launch thread, between
 /// launches.
@@ -58,7 +60,9 @@ class Rebalancer {
 
   /// True when the loop's window says a rebalance is warranted under the
   /// policy (warmup served, imbalance past the (hysteresis-widened)
-  /// trigger, cooldown expired, cap not reached).
+  /// trigger, cooldown expired, cap not reached) and the imbalance persists:
+  /// the same piece was the slowest in every launch of the window, across
+  /// at least two launches.
   [[nodiscard]] bool shouldRebalance(const std::string& loop) const;
 
   /// Builds the weighted replacement for `iter` (the loop's current
@@ -106,7 +110,12 @@ class Rebalancer {
     std::vector<double> baseSeconds;    ///< per-piece gauge at window start
     std::uint64_t launches = 0;         ///< launches inside the window
     std::vector<double> meanSeconds;    ///< per-piece mean over the window
+    std::vector<double> lastSeconds;    ///< per-piece gauge at last observe
     double imbalance = 0;
+    /// The piece slowest in every launch of the window so far (-1 before
+    /// the first); `steady` turns false for good once that piece changes.
+    std::ptrdiff_t slowest = -1;
+    bool steady = true;
     bool rebalanced = false;  ///< this loop already triggered at least once
   };
 

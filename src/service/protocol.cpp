@@ -6,6 +6,13 @@ namespace {
 
 constexpr int kMaxInnerDepth = 4;
 
+// Fewest encoded bytes of each repeated element (a string is at least its
+// u64 length), the sizes decoders pass to BinaryReader::count.
+constexpr std::size_t kStrBytes = 8;
+// kind, id, six strings, op, arg count, loop var, range var, body count.
+constexpr std::size_t kStmtBytes = 1 + 8 + 6 * kStrBytes + 1 + 8 +
+                                   2 * kStrBytes + 8;
+
 void writeStmt(BinaryWriter& w, const ir::Stmt& s, int depth) {
   DPART_CHECK(depth < kMaxInnerDepth, "inner loops nested too deeply");
   w.u8(static_cast<std::uint8_t>(s.kind));
@@ -48,9 +55,9 @@ ir::Stmt readStmt(BinaryReader& r, int depth) {
     throw BadRequest("unknown reduce op " + std::to_string(op));
   }
   s.op = static_cast<ir::ReduceOp>(op);
-  const std::uint64_t nArgs = r.u64();
-  s.args.reserve(static_cast<std::size_t>(nArgs));
-  for (std::uint64_t i = 0; i < nArgs; ++i) s.args.push_back(r.str());
+  const std::size_t nArgs = r.count(kStrBytes);
+  s.args.reserve(nArgs);
+  for (std::size_t i = 0; i < nArgs; ++i) s.args.push_back(r.str());
   if (s.kind == ir::StmtKind::Compute) {
     // Closures do not travel. The pipeline only consults a Compute's args
     // (dataflow); the placeholder keeps the statement evaluable should a
@@ -59,9 +66,9 @@ ir::Stmt readStmt(BinaryReader& r, int depth) {
   }
   s.loopVar = r.str();
   s.rangeVar = r.str();
-  const std::uint64_t nBody = r.u64();
-  s.body.reserve(static_cast<std::size_t>(nBody));
-  for (std::uint64_t i = 0; i < nBody; ++i) {
+  const std::size_t nBody = r.count(kStmtBytes);
+  s.body.reserve(nBody);
+  for (std::size_t i = 0; i < nBody; ++i) {
     s.body.push_back(readStmt(r, depth + 1));
   }
   return s;
@@ -205,7 +212,9 @@ std::vector<std::uint8_t> encodeRequest(const PlanRequest& m) {
   return w.take();
 }
 
-PlanRequest decodeRequest(BinaryReader& r) {
+namespace {
+
+PlanRequest readRequest(BinaryReader& r) {
   PlanRequest m;
   m.tenant = r.str();
   m.pieces = r.u64();
@@ -214,15 +223,16 @@ PlanRequest decodeRequest(BinaryReader& r) {
   m.enableDisjointReduction = (flags & 2) != 0;
   m.enablePrivateSubPartitions = (flags & 4) != 0;
   m.enableUnification = (flags & 8) != 0;
-  const std::uint64_t nRegions = r.u64();
-  m.world.regions.reserve(static_cast<std::size_t>(nRegions));
-  for (std::uint64_t i = 0; i < nRegions; ++i) {
+  // Region: name, size, field count.
+  const std::size_t nRegions = r.count(kStrBytes + 8 + 8);
+  m.world.regions.reserve(nRegions);
+  for (std::size_t i = 0; i < nRegions; ++i) {
     RegionShape rs;
     rs.name = r.str();
     rs.size = r.i64();
-    const std::uint64_t nFields = r.u64();
-    rs.fields.reserve(static_cast<std::size_t>(nFields));
-    for (std::uint64_t k = 0; k < nFields; ++k) {
+    const std::size_t nFields = r.count(kStrBytes + 1);  // name, type
+    rs.fields.reserve(nFields);
+    for (std::size_t k = 0; k < nFields; ++k) {
       FieldShape fs;
       fs.name = r.str();
       const std::uint8_t type = r.u8();
@@ -234,9 +244,10 @@ PlanRequest decodeRequest(BinaryReader& r) {
     }
     m.world.regions.push_back(std::move(rs));
   }
-  const std::uint64_t nFns = r.u64();
-  m.world.fns.reserve(static_cast<std::size_t>(nFns));
-  for (std::uint64_t i = 0; i < nFns; ++i) {
+  // Fn: id, kind, domain, range, field.
+  const std::size_t nFns = r.count(kStrBytes + 1 + 3 * kStrBytes);
+  m.world.fns.reserve(nFns);
+  for (std::size_t i = 0; i < nFns; ++i) {
     FnShape fs;
     fs.id = r.str();
     const std::uint8_t kind = r.u8();
@@ -250,40 +261,41 @@ PlanRequest decodeRequest(BinaryReader& r) {
     m.world.fns.push_back(std::move(fs));
   }
   m.program.name = r.str();
-  const std::uint64_t nLoops = r.u64();
-  m.program.loops.reserve(static_cast<std::size_t>(nLoops));
-  for (std::uint64_t i = 0; i < nLoops; ++i) {
+  // Loop: name, loop var, iteration region, statement count.
+  const std::size_t nLoops = r.count(3 * kStrBytes + 8);
+  m.program.loops.reserve(nLoops);
+  for (std::size_t i = 0; i < nLoops; ++i) {
     ir::Loop loop;
     loop.name = r.str();
     loop.loopVar = r.str();
     loop.iterRegion = r.str();
-    const std::uint64_t nStmts = r.u64();
-    loop.body.reserve(static_cast<std::size_t>(nStmts));
-    for (std::uint64_t k = 0; k < nStmts; ++k) {
+    const std::size_t nStmts = r.count(kStmtBytes);
+    loop.body.reserve(nStmts);
+    for (std::size_t k = 0; k < nStmts; ++k) {
       loop.body.push_back(readStmt(r, 0));
     }
     m.program.loops.push_back(std::move(loop));
   }
-  const std::uint64_t nCaps = r.u64();
-  m.vocab.capacities.reserve(static_cast<std::size_t>(nCaps));
-  for (std::uint64_t i = 0; i < nCaps; ++i) {
+  const std::size_t nCaps = r.count(kStrBytes + 8);  // region, bound
+  m.vocab.capacities.reserve(nCaps);
+  for (std::size_t i = 0; i < nCaps; ++i) {
     constraint::CapacityBound cb;
     cb.region = r.str();
     cb.maxPerPiece = static_cast<std::size_t>(r.u64());
     m.vocab.capacities.push_back(std::move(cb));
   }
-  const std::uint64_t nAff = r.u64();
-  m.vocab.affinities.reserve(static_cast<std::size_t>(nAff));
-  for (std::uint64_t i = 0; i < nAff; ++i) {
+  const std::size_t nAff = r.count(2 * kStrBytes + 1);  // fields, flag
+  m.vocab.affinities.reserve(nAff);
+  for (std::size_t i = 0; i < nAff; ++i) {
     constraint::FieldAffinity fa;
     fa.fieldA = r.str();
     fa.fieldB = r.str();
     fa.together = r.u8() != 0;
     m.vocab.affinities.push_back(std::move(fa));
   }
-  const std::uint64_t nRep = r.u64();
-  m.vocab.replications.reserve(static_cast<std::size_t>(nRep));
-  for (std::uint64_t i = 0; i < nRep; ++i) {
+  const std::size_t nRep = r.count(kStrBytes + 2 * 8);  // region, bounds
+  m.vocab.replications.reserve(nRep);
+  for (std::size_t i = 0; i < nRep; ++i) {
     constraint::ReplicationBound rb;
     rb.region = r.str();
     rb.minFactor = r.f64();
@@ -292,6 +304,17 @@ PlanRequest decodeRequest(BinaryReader& r) {
   }
   r.expectEnd();
   return m;
+}
+
+}  // namespace
+
+PlanRequest decodeRequest(BinaryReader& r) {
+  try {
+    return readRequest(r);
+  } catch (const CheckpointCorruption& e) {
+    // A structurally valid frame with a malformed request inside.
+    throw BadRequest(std::string("malformed request payload: ") + e.what());
+  }
 }
 
 std::vector<std::uint8_t> encodeResponse(const PlanResponse& m) {
@@ -334,18 +357,19 @@ PlanResponse decodeResponse(BinaryReader& r) {
   m.parallelLoops = static_cast<int>(r.i64());
   m.serverMs = r.f64();
   m.dpl = r.str();
-  const std::uint64_t nLoops = r.u64();
-  m.loops.reserve(static_cast<std::size_t>(nLoops));
-  for (std::uint64_t i = 0; i < nLoops; ++i) {
+  // Loop: name, iteration partition, relaxed flag.
+  const std::size_t nLoops = r.count(2 * kStrBytes + 1);
+  m.loops.reserve(nLoops);
+  for (std::size_t i = 0; i < nLoops; ++i) {
     LoopPlanInfo lp;
     lp.name = r.str();
     lp.iterPartition = r.str();
     lp.relaxed = r.u8() != 0;
     m.loops.push_back(std::move(lp));
   }
-  const std::uint64_t nExternal = r.u64();
-  m.externalSymbols.reserve(static_cast<std::size_t>(nExternal));
-  for (std::uint64_t i = 0; i < nExternal; ++i) {
+  const std::size_t nExternal = r.count(kStrBytes);
+  m.externalSymbols.reserve(nExternal);
+  for (std::size_t i = 0; i < nExternal; ++i) {
     m.externalSymbols.push_back(r.str());
   }
   m.propagations = r.u64();

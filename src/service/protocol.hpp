@@ -154,6 +154,8 @@ struct ErrorReplyMsg {
 };
 
 [[nodiscard]] std::vector<std::uint8_t> encodeRequest(const PlanRequest& m);
+/// Throws BadRequest on any malformed payload (truncation, trailing bytes,
+/// unknown enum values, counts the payload cannot hold).
 [[nodiscard]] PlanRequest decodeRequest(BinaryReader& r);
 
 [[nodiscard]] std::vector<std::uint8_t> encodeResponse(const PlanResponse& m);

@@ -370,15 +370,8 @@ void PlanServer::handleRequest(int fd,
   const std::uint64_t t0 = nowMicros();
   std::string tenant;
   try {
-    PlanRequest req;
-    try {
-      BinaryReader r(payload);
-      req = decodeRequest(r);
-    } catch (const CheckpointCorruption& e) {
-      // Bounds-checked payload decoding failed: structurally valid frame,
-      // malformed request inside.
-      throw BadRequest(std::string("malformed request payload: ") + e.what());
-    }
+    BinaryReader reader(payload);
+    const PlanRequest req = decodeRequest(reader);
     tenant = req.tenant;
     if (req.pieces == 0) {
       throw BadRequest("request must set pieces > 0");

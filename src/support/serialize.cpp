@@ -95,6 +95,16 @@ std::uint64_t BinaryReader::u64() {
   return v;
 }
 
+std::size_t BinaryReader::count(std::size_t minElementBytes) {
+  DPART_CHECK(minElementBytes > 0, "element encodings take at least a byte");
+  const std::uint64_t n = u64();
+  if (n > remaining() / minElementBytes) {
+    fail("count " + std::to_string(n) + " of elements of at least " +
+         std::to_string(minElementBytes) + " byte(s)");
+  }
+  return static_cast<std::size_t>(n);
+}
+
 double BinaryReader::f64() { return std::bit_cast<double>(u64()); }
 
 std::string BinaryReader::str() {

@@ -88,6 +88,14 @@ class BinaryReader {
     return data_.size() - pos_;
   }
 
+  /// Reads the element count of a sequence whose elements each encode to
+  /// at least `minElementBytes` bytes, and throws CheckpointCorruption when
+  /// the rest of the payload cannot hold that many. Decoders read every
+  /// count through this before sizing a buffer or looping on it, so a
+  /// hostile count fails as corruption instead of driving a huge
+  /// allocation.
+  [[nodiscard]] std::size_t count(std::size_t minElementBytes);
+
   /// Throws CheckpointCorruption when trailing bytes remain — a payload
   /// that parsed "successfully" but was longer than the schema expects is
   /// as suspect as a truncated one.

@@ -73,6 +73,38 @@ TEST(Rebalancer, BalancedLoopNeverTriggers) {
   }
 }
 
+// Noise on a shared host makes some piece the slowest in each launch, but
+// not the same one: only a piece that is slow every time is skew.
+TEST(Rebalancer, RotatingSlowestPieceNeverTriggers) {
+  MetricsRegistry mx;
+  Rebalancer rb(testPolicy(), mx);
+  rb.observe("l", 4);  // establishes the window baseline
+  for (int i = 0; i < 10; ++i) {
+    // Each launch and the window mean sit at ~1.6x imbalance, past the 1.5
+    // trigger, but pieces 0 and 1 take turns being the slowest.
+    if (i % 2 == 0) {
+      publishLaunch(mx, "l", {4.0, 3.9, 1.0, 1.0});
+    } else {
+      publishLaunch(mx, "l", {3.9, 4.0, 1.0, 1.0});
+    }
+    rb.observe("l", 4);
+    EXPECT_GE(rb.imbalance("l"), 1.5) << "launch " << i;
+    EXPECT_FALSE(rb.shouldRebalance("l")) << "launch " << i;
+  }
+}
+
+TEST(Rebalancer, ConsistentlySlowPieceTriggers) {
+  MetricsRegistry mx;
+  Rebalancer rb(testPolicy(), mx);
+  rb.observe("l", 4);  // establishes the window baseline
+  publishLaunch(mx, "l", {4.0, 3.9, 1.0, 1.0});
+  rb.observe("l", 4);
+  EXPECT_FALSE(rb.shouldRebalance("l")) << "one launch shows no persistence";
+  publishLaunch(mx, "l", {4.0, 3.9, 1.0, 1.0});
+  rb.observe("l", 4);
+  EXPECT_TRUE(rb.shouldRebalance("l"));
+}
+
 TEST(Rebalancer, CooldownAndHysteresisAfterFirstRebalance) {
   MetricsRegistry mx;
   Rebalancer rb(testPolicy(), mx);

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,6 +79,31 @@ PlanRequest makeRequest(const std::string& tenant, region::World& world,
   req.world = WorldShape::describe(world);
   req.program = prog;
   return req;
+}
+
+/// A well-framed Request payload whose region count (2^62) no payload of
+/// its size could hold.
+std::vector<std::uint8_t> hugeCountRequest() {
+  BinaryWriter w;
+  w.str("");                          // tenant
+  w.u64(4);                           // pieces
+  w.u8(0);                            // flags
+  w.u64(std::uint64_t{1} << 62);      // region count
+  w.u32(0);
+  return w.take();
+}
+
+/// Connects a raw socket to a loopback-TCP server.
+int connectRaw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
 }
 
 /// Starts a loopback-TCP server with sensible test options.
@@ -227,6 +253,12 @@ TEST(ServiceProtocol, HostileShapesAreRejected) {
   bytes.resize(bytes.size() / 2);
   BinaryReader r(bytes);
   EXPECT_THROW((void)decodeRequest(r), Error);
+
+  // A ~30-byte payload declaring 2^62 regions: the count is rejected before
+  // any buffer is sized from it.
+  const std::vector<std::uint8_t> huge = hugeCountRequest();
+  BinaryReader hugeCount(huge);
+  EXPECT_THROW((void)decodeRequest(hugeCount), BadRequest);
 }
 
 TEST(ServiceServer, ServesAPlanThatMatchesLocalCompile) {
@@ -387,6 +419,30 @@ TEST(ServiceServer, MalformedFramesOnlyKillTheirOwnConnection) {
   buildWorld(world);
   const PlanResponse resp =
       victim.parallelize(makeRequest("", world, makeProgram()));
+  EXPECT_NE(resp.cacheKey, 0u);
+}
+
+TEST(ServiceServer, HugeCountRequestGetsBadRequestAndServerKeepsServing) {
+  ServerFixture fx;
+  const int fd = connectRaw(fx.server.port());
+  framing::sendFrame(fd, static_cast<std::uint8_t>(MsgType::Request),
+                     hugeCountRequest(), /*node=*/0);
+  const std::optional<framing::RawFrame> reply = framing::recvFrame(
+      fd, 10'000'000, std::uint64_t{1} << 20, /*node=*/0,
+      static_cast<std::uint8_t>(MsgType::Request),
+      static_cast<std::uint8_t>(MsgType::Shutdown));
+  ::close(fd);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, static_cast<std::uint8_t>(MsgType::ErrorReply));
+  BinaryReader r(reply->payload);
+  EXPECT_EQ(decodeError(r).code, ErrorCode::BadRequest);
+
+  // The next client is served as usual.
+  PlanClient next = PlanClient::connectTcp(fx.server.port());
+  region::World world;
+  buildWorld(world);
+  const PlanResponse resp =
+      next.parallelize(makeRequest("", world, makeProgram()));
   EXPECT_NE(resp.cacheKey, 0u);
 }
 

@@ -195,9 +195,9 @@ TEST(Wire, ResultAndTaskErrorRoundTrip) {
   ResultMsg m;
   m.seq = 8;
   m.piece = 2;
-  ReduceSlice rs;
+  BufferedReduce rs;
   rs.stmtId = 12;
-  rs.op = 1;
+  rs.op = ir::ReduceOp::Min;
   rs.entries = {{3, 0.5}, {9, -2.25}};
   m.reduces.push_back(rs);
   m.taskSeconds = 0.125;
@@ -208,6 +208,7 @@ TEST(Wire, ResultAndTaskErrorRoundTrip) {
   EXPECT_EQ(got.piece, 2u);
   ASSERT_EQ(got.reduces.size(), 1u);
   EXPECT_EQ(got.reduces[0].stmtId, 12);
+  EXPECT_EQ(got.reduces[0].op, ir::ReduceOp::Min);
   EXPECT_EQ(got.reduces[0].entries, rs.entries);
   EXPECT_EQ(got.taskSeconds, 0.125);
 
@@ -225,6 +226,24 @@ TEST(Wire, ResultAndTaskErrorRoundTrip) {
   bytes.resize(bytes.size() / 2);
   BinaryReader bad(bytes);
   EXPECT_THROW((void)decodeResult(bad), CheckpointCorruption);
+
+  // A ~30-byte payload declaring 2^62 write-back slices must fail as
+  // corruption before any buffer is sized from the count.
+  BinaryWriter huge;
+  huge.u64(8);
+  huge.u64(2);
+  huge.u64(std::uint64_t{1} << 62);
+  huge.u32(0);
+  BinaryReader hugeReader(huge.payload());
+  EXPECT_THROW((void)decodeResult(hugeReader), CheckpointCorruption);
+
+  // A reduce-op byte past ReduceOp::Max is rejected at decode, before the
+  // coordinator could merge with it. Layout: seq, piece, slice count,
+  // buffer count, stmt id, then the op byte.
+  std::vector<std::uint8_t> badOp = encodeResult(m);
+  badOp[5 * sizeof(std::uint64_t)] = 7;
+  BinaryReader badOpReader(badOp);
+  EXPECT_THROW((void)decodeResult(badOpReader), CheckpointCorruption);
 }
 
 }  // namespace
