@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -23,6 +25,13 @@ constexpr std::uint8_t kSetChunked = 1;  // per-chunk containers, bitmaps raw
 constexpr std::uint8_t kChunkRuns = 0;
 constexpr std::uint8_t kChunkBitmap = 1;
 
+// Run columns cross the bulk codec as raw bytes: they must be exactly the
+// (lo, hi) pair of 8-byte words the per-value encoding writes, in that order.
+static_assert(std::is_trivially_copyable_v<Run> &&
+              std::is_standard_layout_v<Run> && sizeof(Index) == 8 &&
+              sizeof(Run) == 2 * sizeof(Index) && offsetof(Run, lo) == 0 &&
+              offsetof(Run, hi) == sizeof(Index));
+
 std::uint8_t tagOf(FieldType t) {
   switch (t) {
     case FieldType::F64: return kTagF64;
@@ -30,6 +39,10 @@ std::uint8_t tagOf(FieldType t) {
     case FieldType::Range: return kTagRange;
   }
   DPART_UNREACHABLE("bad FieldType");
+}
+
+std::size_t valueBytes(FieldType t) {
+  return t == FieldType::Range ? sizeof(Run) : 8;
 }
 
 /// One staged field column, decoded but not yet committed to the World.
@@ -60,10 +73,7 @@ void writeIndexSet(BinaryWriter& w, const IndexSet& set) {
     const auto runs = set.runs();
     w.u8(kSetRuns);
     w.u64(runs.size());
-    for (const Run& run : runs) {
-      w.i64(run.lo);
-      w.i64(run.hi);
-    }
+    w.column(runs);
     return;
   }
   // Dense sets serialize chunk-at-a-time: bitmap containers are dumped as
@@ -74,14 +84,11 @@ void writeIndexSet(BinaryWriter& w, const IndexSet& set) {
     w.i64(c.base);
     if (!c.words.empty()) {
       w.u8(kChunkBitmap);
-      for (const std::uint64_t word : c.words) w.u64(word);
+      w.column(c.words);
     } else {
       w.u8(kChunkRuns);
       w.u64(c.runs.size());
-      for (const Run& run : c.runs) {
-        w.i64(run.lo);
-        w.i64(run.hi);
-      }
+      w.column(c.runs);
     }
   });
 }
@@ -89,17 +96,14 @@ void writeIndexSet(BinaryWriter& w, const IndexSet& set) {
 IndexSet readIndexSet(BinaryReader& r) {
   std::vector<Run> runs;
   const auto readRunList = [&r, &runs] {
-    const std::size_t n = r.count(2 * sizeof(Index));
-    runs.reserve(runs.size() + n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Index lo = r.i64();
-      const Index hi = r.i64();
-      if (hi <= lo) {
+    const std::size_t first = runs.size();
+    r.column(r.count(sizeof(Run)), runs);
+    for (std::size_t i = first; i < runs.size(); ++i) {
+      if (runs[i].hi <= runs[i].lo) {
         throw CheckpointCorruption("snapshot IndexSet has empty run [" +
-                                   std::to_string(lo) + "," +
-                                   std::to_string(hi) + ")");
+                                   std::to_string(runs[i].lo) + "," +
+                                   std::to_string(runs[i].hi) + ")");
       }
-      runs.push_back(Run{lo, hi});
     }
   };
   if (r.formatVersion() < 2) {
@@ -184,7 +188,24 @@ std::map<std::string, Partition> readPartitionMap(BinaryReader& r) {
   return parts;
 }
 
+std::size_t snapshotSize(const World& world) {
+  std::size_t bytes = 8;  // region count
+  for (const std::string& regionName : world.regionNames()) {
+    const Region& region = world.region(regionName);
+    bytes += 8 + regionName.size() + 8 + 8;  // name, size, field count
+    const auto n = static_cast<std::size_t>(region.size());
+    for (const std::string& fieldName : region.fieldNames()) {
+      bytes += 8 + fieldName.size() + 1 +
+               n * valueBytes(region.fieldType(fieldName));
+    }
+  }
+  bytes += 8;  // fn id count
+  for (const std::string& id : world.fnIds()) bytes += 8 + id.size();
+  return bytes;
+}
+
 void snapshotWorld(BinaryWriter& w, const World& world) {
+  w.reserve(snapshotSize(world));
   const std::vector<std::string> regionNames = world.regionNames();
   w.u64(regionNames.size());
   for (const std::string& regionName : regionNames) {
@@ -198,18 +219,9 @@ void snapshotWorld(BinaryWriter& w, const World& world) {
       const FieldType type = region.fieldType(fieldName);
       w.u8(tagOf(type));
       switch (type) {
-        case FieldType::F64:
-          for (double v : region.f64(fieldName)) w.f64(v);
-          break;
-        case FieldType::Idx:
-          for (Index v : region.idx(fieldName)) w.i64(v);
-          break;
-        case FieldType::Range:
-          for (const Run& v : region.range(fieldName)) {
-            w.i64(v.lo);
-            w.i64(v.hi);
-          }
-          break;
+        case FieldType::F64: w.column(region.f64(fieldName)); break;
+        case FieldType::Idx: w.column(region.idx(fieldName)); break;
+        case FieldType::Range: w.column(region.range(fieldName)); break;
       }
     }
   }
@@ -236,32 +248,13 @@ void restoreWorld(BinaryReader& r, World& world) {
       StagedField sf;
       sf.name = r.str();
       sf.tag = r.u8();
+      // column() rejects a size the rest of the payload cannot hold as
+      // corruption before sizing the staged column.
       const auto n = static_cast<std::size_t>(sr.size);
-      // Every tag stores at least 8 bytes per element; a size the rest of
-      // the payload cannot hold is corruption, not an allocation to try.
-      if (n > r.remaining() / 8) {
-        throw CheckpointCorruption("snapshot field '" + sr.name + "." +
-                                   sf.name + "' declares " +
-                                   std::to_string(n) +
-                                   " values past the end of the stream");
-      }
       switch (sf.tag) {
-        case kTagF64:
-          sf.f64.reserve(n);
-          for (std::size_t i = 0; i < n; ++i) sf.f64.push_back(r.f64());
-          break;
-        case kTagIdx:
-          sf.idx.reserve(n);
-          for (std::size_t i = 0; i < n; ++i) sf.idx.push_back(r.i64());
-          break;
-        case kTagRange:
-          sf.range.reserve(n);
-          for (std::size_t i = 0; i < n; ++i) {
-            const Index lo = r.i64();
-            const Index hi = r.i64();
-            sf.range.push_back(Run{lo, hi});
-          }
-          break;
+        case kTagF64: r.column(n, sf.f64); break;
+        case kTagIdx: r.column(n, sf.idx); break;
+        case kTagRange: r.column(n, sf.range); break;
         default:
           throw CheckpointCorruption("snapshot field '" + sr.name + "." +
                                      sf.name + "' has bad type tag " +

@@ -39,8 +39,12 @@ void writePartitionMap(BinaryWriter& w,
 /// the set of registered function ids. The fn ids act as a structural
 /// fingerprint: point functions themselves are code, re-registered by the
 /// application on restart, so the snapshot only has to prove it was taken
-/// from a World with the same shape.
+/// from a World with the same shape. Columns go through the bulk codec
+/// (BinaryWriter::column), and the writer grows once, by snapshotSize.
 void snapshotWorld(BinaryWriter& w, const World& world);
+
+/// Exact number of bytes snapshotWorld appends for `world`.
+[[nodiscard]] std::size_t snapshotSize(const World& world);
 
 /// Restores a snapshot into `world`, which must already have the same
 /// structure (the application rebuilds regions/fields/fns on restart; the

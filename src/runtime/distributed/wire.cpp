@@ -18,7 +18,7 @@ void writeSlices(BinaryWriter& w, const std::vector<FieldSlice>& slices) {
     DPART_CHECK(s.values.size() ==
                     static_cast<std::size_t>(s.indices.size()),
                 "field slice value/index count mismatch");
-    for (double v : s.values) w.f64(v);
+    w.column(std::span<const double>(s.values));
   }
 }
 
@@ -32,14 +32,9 @@ std::vector<FieldSlice> readSlices(BinaryReader& r) {
     s.region = r.str();
     s.field = r.str();
     s.indices = region::readIndexSet(r);
-    // A few runs can declare an index set far larger than its values.
-    if (s.indices.size() > static_cast<region::Index>(r.remaining() / 8)) {
-      throw CheckpointCorruption("field slice values past the payload end");
-    }
-    s.values.reserve(static_cast<std::size_t>(s.indices.size()));
-    for (region::Index k = 0; k < s.indices.size(); ++k) {
-      s.values.push_back(r.f64());
-    }
+    // A few runs can declare an index set far larger than its values:
+    // column() rejects that as corruption before sizing the values.
+    r.column(static_cast<std::size_t>(s.indices.size()), s.values);
     slices.push_back(std::move(s));
   }
   return slices;

@@ -1,9 +1,13 @@
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "support/check.hpp"
@@ -34,23 +38,58 @@ inline constexpr std::uint64_t kMaxFramePayloadBytes = std::uint64_t{1}
                                                        << 30;  // 1 GiB
 
 /// CRC-32 (IEEE 802.3 polynomial, as in zip/png) over a byte span.
+/// Computed slice-by-8 (eight table lookups per 8-byte load); the values are
+/// those of the classic byte-at-a-time table loop.
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
 
-/// Append-only little-endian binary stream. All multi-byte values are
-/// written byte-by-byte, so payloads are portable across hosts regardless
-/// of native endianness.
+static_assert(std::endian::native == std::endian::little ||
+                  std::endian::native == std::endian::big,
+              "serialized streams need a little- or big-endian host");
+
+/// A column element the bulk codec can move as raw bytes: trivially
+/// copyable and made of whole 8-byte words (double, int64, uint64, or a
+/// struct of those with no padding, such as region::Run — its layout is
+/// pinned by a static_assert next to its codec). Each word is encoded as
+/// one little-endian 8-byte value, exactly as u64()/i64()/f64() would.
+template <class T>
+concept WordColumn = std::is_trivially_copyable_v<T> && sizeof(T) % 8 == 0;
+
+/// Append-only binary stream. Every multi-byte value is little-endian
+/// whatever the host, so payloads are portable. On little-endian hosts a
+/// scalar is one fixed-size store and a column() is one memcpy of the
+/// column's bytes; big-endian hosts take a per-value byte loop that writes
+/// the same bytes.
 class BinaryWriter {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+  /// Appends the values of a column back to back (no count prefix): the
+  /// bytes of one u64()/i64()/f64() call per 8-byte word, in order.
+  template <WordColumn T>
+  void column(std::span<const T> values) {
+    if constexpr (std::endian::native == std::endian::little) {
+      bytes(values.data(), values.size_bytes());
+    } else {
+      for (const T& v : values) {
+        std::array<std::uint64_t, sizeof(T) / 8> words;
+        std::memcpy(words.data(), &v, sizeof(T));
+        for (const std::uint64_t word : words) u64(word);
+      }
+    }
+  }
 
   /// Length-prefixed string (may contain embedded NULs).
   void str(const std::string& s);
 
   void bytes(const void* data, std::size_t n);
+
+  /// Sizes the buffer for `n` more bytes, so an encoder that knows its
+  /// exact output size grows the buffer once.
+  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
   [[nodiscard]] std::span<const std::uint8_t> payload() const { return buf_; }
@@ -59,6 +98,19 @@ class BinaryWriter {
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
+  template <class U>
+  void put(U v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      const std::size_t at = buf_.size();
+      buf_.resize(at + sizeof(U));
+      std::memcpy(buf_.data() + at, &v, sizeof(U));
+    } else {
+      for (std::size_t i = 0; i < sizeof(U); ++i) {
+        buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      }
+    }
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
@@ -83,6 +135,32 @@ class BinaryReader {
   }
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
+
+  /// Reads `n` column values written by BinaryWriter::column and appends
+  /// them to `out`. Throws CheckpointCorruption when the rest of the
+  /// payload cannot hold `n` values, before `out` grows, so a hostile
+  /// declared length never drives an allocation.
+  template <WordColumn T>
+  void column(std::size_t n, std::vector<T>& out) {
+    if (n > remaining() / sizeof(T)) {
+      fail("column of " + std::to_string(n) + " " +
+           std::to_string(sizeof(T)) + "-byte value(s)");
+    }
+    const std::size_t at = out.size();
+    out.resize(at + n);
+    if constexpr (std::endian::native == std::endian::little) {
+      if (n > 0) {
+        std::memcpy(out.data() + at, data_.data() + pos_, n * sizeof(T));
+      }
+      pos_ += n * sizeof(T);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        std::array<std::uint64_t, sizeof(T) / 8> words;
+        for (std::uint64_t& word : words) word = u64();
+        std::memcpy(&out[at + i], words.data(), sizeof(T));
+      }
+    }
+  }
 
   [[nodiscard]] std::size_t remaining() const {
     return data_.size() - pos_;
@@ -116,11 +194,12 @@ void writeFileAtomic(const std::string& path,
                      std::span<const std::uint8_t> contents);
 
 /// Frames a payload for durable storage: magic, kSerializeVersion, payload
-/// size, CRC-32 of the payload, then the payload itself — written via
-/// writeFileAtomic. `tamper`, when set, is applied to a copy of the payload
-/// AFTER the checksum is computed (and before the bytes hit disk): this is
-/// the hook FaultKind::CorruptCheckpoint uses to model silent media
-/// corruption that the checksum must catch on read.
+/// size, CRC-32 of the payload, then the payload itself — written with the
+/// same tmp + rename as writeFileAtomic, header and payload straight from
+/// their buffers (no concatenated copy). `tamper`, when set, is applied to a
+/// copy of the payload AFTER the checksum is computed (and before the bytes
+/// hit disk): this is the hook FaultKind::CorruptCheckpoint uses to model
+/// silent media corruption that the checksum must catch on read.
 void writeFramedFile(
     const std::string& path, std::span<const std::uint8_t> payload,
     const std::function<void(std::vector<std::uint8_t>&)>& tamper = {});

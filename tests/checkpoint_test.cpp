@@ -365,6 +365,17 @@ TEST(Snapshot, WorldRoundTripsBitwise) {
   }
 }
 
+TEST(Snapshot, FixedPayloadCrcIsPinned) {
+  // Size and CRC-32 of this payload as the per-value encoder wrote it:
+  // the bulk column codec must leave every byte where it was.
+  World w;
+  buildWorld(w, 13);
+  BinaryWriter payload;
+  region::snapshotWorld(payload, w);
+  EXPECT_EQ(payload.size(), 743u);
+  EXPECT_EQ(crc32(payload.payload()), 0x11C1CA7Cu);
+}
+
 TEST(Snapshot, StructureMismatchThrowsWithoutPartialRestore) {
   World original;
   buildWorld(original, 1);
