@@ -13,13 +13,15 @@
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "dpl/evaluator.hpp"
 #include "region/dpl_ops.hpp"
-#include "support/perf_counters.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
@@ -303,7 +305,9 @@ void benchMemoization(Index n, std::size_t pieces, std::size_t threads) {
   cold.run(prog);
   const double coldMs = tCold.millis();
 
+  dpart::MetricsRegistry registry;
   Evaluator warm(*w.world, pieces, threads);
+  warm.setMetrics(&registry);
   Timer tWarm;
   warm.run(prog);
   const double warmMs = tWarm.millis();
@@ -313,33 +317,57 @@ void benchMemoization(Index n, std::size_t pieces, std::size_t threads) {
     identical = identical && part == warm.partition(name);
   }
 
-  // The counters JSON has a fixed schema: every declared operator plus the
-  // cache and injected-stall tallies must appear even at zero, so the perf
+  // The counters object reads the evaluator's registry snapshot: the
+  // dpl.op.* gauges grouped by op label, and the dpl.indexset.* pair.
+  std::map<std::string, std::map<std::string, double>> ops;
+  std::map<std::string, double> indexset;
+  for (const auto& e : registry.snapshot().entries) {
+    if (e.name.starts_with("dpl.op.")) {
+      ops[e.labels.at("op")][e.name.substr(7)] = e.value;
+    } else if (e.name.starts_with("dpl.indexset.")) {
+      indexset[e.name.substr(13)] = e.value;
+    }
+  }
+  const auto count = [](double v) { return static_cast<std::uint64_t>(v); };
+  const dpart::dpl::EvalCounters& ev = warm.counters();
+  std::ostringstream counters;
+  counters << "{\"cache_hits\":" << ev.cacheHits
+           << ",\"cache_misses\":" << ev.cacheMisses
+           << ",\"injected_stall_us\":" << ev.injectedStallMicros
+           << ",\"container_switches\":"
+           << count(indexset["container_switches"])
+           << ",\"bitmap_op_words\":" << count(indexset["bitmap_op_words"])
+           << ",\"ops\":{";
+  // Fixed schema: every operator appears even at zero calls, so the perf
   // trajectory scrapers never see a moving column set.
-  const std::string countersJson = warm.counters().toJson();
-  auto require = [&](const std::string& key) {
-    if (countersJson.find('"' + key + '"') == std::string::npos) {
-      std::cerr << "SCHEMA: counters JSON is missing \"" << key
-                << "\": " << countersJson << '\n';
+  const char* sep = "";
+  for (const char* op :
+       {"equal", "image", "preimage", "union", "intersect", "subtract"}) {
+    const auto it = ops.find(op);
+    if (it == ops.end() || it->second.size() != 4) {
+      std::cerr << "SCHEMA: the evaluator did not register the four "
+                   "dpl.op.* gauges for op="
+                << op << '\n';
       std::exit(1);
     }
-  };
-  for (std::size_t i = 0; i < dpart::PerfCounters::kNumOps; ++i) {
-    require(dpart::PerfCounters::opName(i));
+    std::map<std::string, double>& f = it->second;
+    counters << sep << '"' << op << "\":{\"calls\":" << count(f["calls"])
+             << ",\"ms\":" << f["ms"] << ",\"elements\":"
+             << count(f["elements"]) << ",\"runs\":" << count(f["runs"])
+             << '}';
+    sep = ",";
   }
-  require("cache_hits");
-  require("cache_misses");
-  require("injected_stall_us");
+  counters << "}}";
 
   std::cout << "{\"bench\":\"dpl_memo\",\"n\":" << n
             << ",\"pieces\":" << pieces << ",\"threads\":" << threads
             << ",\"serial_nomemo_ms\":" << coldMs
             << ",\"parallel_memo_ms\":" << warmMs
-            << ",\"cache_hits\":" << warm.counters().cacheHits
-            << ",\"cache_misses\":" << warm.counters().cacheMisses
-            << ",\"injected_stall_us\":" << warm.counters().injectedStallMicros
+            << ",\"cache_hits\":" << ev.cacheHits
+            << ",\"cache_misses\":" << ev.cacheMisses
+            << ",\"injected_stall_us\":" << ev.injectedStallMicros
             << ",\"identical\":" << (identical ? "true" : "false")
-            << ",\"counters\":" << countersJson << "}\n";
+            << ",\"counters\":" << counters.str() << "}\n";
 }
 
 }  // namespace

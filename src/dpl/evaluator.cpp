@@ -19,21 +19,6 @@ std::uint64_t runsProduced(const Partition& p) {
   return total;
 }
 
-// Snapshots the process-global hybrid-IndexSet tallies so one kernel call's
-// activity can be attributed to this evaluator's PerfCounters as a delta.
-// Constructed after operand evaluation (next to the kernel Timer), so nested
-// operator evaluations are not double-counted.
-struct SetStatsDelta {
-  IndexSet::Stats before = IndexSet::stats();
-
-  void harvest(PerfCounters& counters) const {
-    const IndexSet::Stats after = IndexSet::stats();
-    counters.containerSwitches +=
-        after.containerSwitches - before.containerSwitches;
-    counters.bitmapOpWords += after.bitmapOpWords - before.bitmapOpWords;
-  }
-};
-
 const char* opSite(ExprKind kind) {
   switch (kind) {
     case ExprKind::Symbol: return "dpl:symbol";
@@ -46,6 +31,9 @@ const char* opSite(ExprKind kind) {
   }
   return "dpl:?";
 }
+
+// The `op` label of a kernel's dpl.op.* gauges: its fault site minus "dpl:".
+const char* opLabel(ExprKind kind) { return opSite(kind) + 4; }
 
 // Deterministically corrupts an operator result: drops the first element of
 // the first non-empty subregion (breaks completeness) or, when the draw says
@@ -69,6 +57,24 @@ Partition poisonPartition(const Partition& p, double magnitude) {
 }
 
 }  // namespace
+
+void Evaluator::setMetrics(MetricsRegistry* metrics) {
+  opGauges_ = {};
+  containerSwitches_ = bitmapOpWords_ = nullptr;
+  if (metrics == nullptr) return;
+  for (const ExprKind kind :
+       {ExprKind::Equal, ExprKind::Image, ExprKind::Preimage, ExprKind::Union,
+        ExprKind::Intersect, ExprKind::Subtract}) {
+    const MetricLabels labels{{"op", opLabel(kind)}};
+    opGauges_[static_cast<std::size_t>(kind)] = {
+        &metrics->gauge("dpl.op.calls", labels),
+        &metrics->gauge("dpl.op.ms", labels),
+        &metrics->gauge("dpl.op.elements", labels),
+        &metrics->gauge("dpl.op.runs", labels)};
+  }
+  containerSwitches_ = &metrics->gauge("dpl.indexset.container_switches");
+  bitmapOpWords_ = &metrics->gauge("dpl.indexset.bitmap_op_words");
+}
 
 void Evaluator::bind(const std::string& name, Partition partition) {
   // A fresh generation per (re)binding: cache keys embed the generation, so
@@ -183,6 +189,20 @@ Partition Evaluator::evalMemo(const ExprPtr& expr) const {
                          std::string(opSite(expr->kind)));
 
   Partition result;
+  std::uint64_t elements = 0;  // inputs the kernel scans
+  double seconds = 0;
+  IndexSet::Stats sets;  // the kernel's IndexSet::stats() delta
+  // Times one kernel call after its operands are evaluated, so nested
+  // operators are not counted twice.
+  const auto timed = [&](auto&& kernel) {
+    const IndexSet::Stats before = IndexSet::stats();
+    const Timer t;
+    result = kernel();
+    seconds = t.seconds();
+    const IndexSet::Stats after = IndexSet::stats();
+    sets.containerSwitches = after.containerSwitches - before.containerSwitches;
+    sets.bitmapOpWords = after.bitmapOpWords - before.bitmapOpWords;
+  };
   switch (expr->kind) {
     case ExprKind::Symbol:
       DPART_UNREACHABLE("handled above");
@@ -191,68 +211,68 @@ Partition Evaluator::evalMemo(const ExprPtr& expr) const {
     case ExprKind::Subtract: {
       const Partition lhs = evalMemo(expr->lhs);
       const Partition rhs = evalMemo(expr->rhs);
-      const std::uint64_t elems = static_cast<std::uint64_t>(
-          lhs.totalElements() + rhs.totalElements());
-      Timer t;
-      SetStatsDelta sd;
-      std::size_t op = PerfCounters::kUnion;
-      if (expr->kind == ExprKind::Union) {
-        result = region::unionPartitions(lhs, rhs, pool_);
-      } else if (expr->kind == ExprKind::Intersect) {
-        result = region::intersectPartitions(lhs, rhs, pool_);
-        op = PerfCounters::kIntersect;
-      } else {
-        result = region::subtractPartitions(lhs, rhs, pool_);
-        op = PerfCounters::kSubtract;
-      }
-      counters_.ops[op].record(t.seconds(), elems, runsProduced(result));
-      sd.harvest(counters_);
+      elements = static_cast<std::uint64_t>(lhs.totalElements() +
+                                            rhs.totalElements());
+      timed([&] {
+        if (expr->kind == ExprKind::Union) {
+          return region::unionPartitions(lhs, rhs, pool_);
+        }
+        if (expr->kind == ExprKind::Intersect) {
+          return region::intersectPartitions(lhs, rhs, pool_);
+        }
+        return region::subtractPartitions(lhs, rhs, pool_);
+      });
       break;
     }
     case ExprKind::Image: {
       const Partition arg = evalMemo(expr->arg);
-      Timer t;
-      SetStatsDelta sd;
-      result = region::imagePartition(world_, arg, expr->fn, expr->region,
+      elements = static_cast<std::uint64_t>(arg.totalElements());
+      timed([&] {
+        return region::imagePartition(world_, arg, expr->fn, expr->region,
                                       pool_);
-      counters_.ops[PerfCounters::kImage].record(
-          t.seconds(), static_cast<std::uint64_t>(arg.totalElements()),
-          runsProduced(result));
-      sd.harvest(counters_);
+      });
       break;
     }
     case ExprKind::Preimage: {
       const Partition arg = evalMemo(expr->arg);
-      Timer t;
-      SetStatsDelta sd;
-      result = region::preimagePartition(world_, expr->region, expr->fn, arg,
+      elements =
+          static_cast<std::uint64_t>(world_.region(expr->region).size());
+      timed([&] {
+        return region::preimagePartition(world_, expr->region, expr->fn, arg,
                                          pool_);
-      counters_.ops[PerfCounters::kPreimage].record(
-          t.seconds(),
-          static_cast<std::uint64_t>(world_.region(expr->region).size()),
-          runsProduced(result));
-      sd.harvest(counters_);
+      });
       break;
     }
-    case ExprKind::Equal: {
-      Timer t;
-      result = region::equalPartition(world_, expr->region, pieces_);
-      counters_.ops[PerfCounters::kEqual].record(
-          t.seconds(),
-          static_cast<std::uint64_t>(world_.region(expr->region).size()),
-          runsProduced(result));
+    case ExprKind::Equal:
+      elements =
+          static_cast<std::uint64_t>(world_.region(expr->region).size());
+      timed([&] {
+        return region::equalPartition(world_, expr->region, pieces_);
+      });
       break;
+  }
+
+  // The kernel's own figures, before any injected poisoning.
+  const OpGauges& gauges = opGauges_[static_cast<std::size_t>(expr->kind)];
+  if (gauges.calls != nullptr || opSpan.active()) {
+    const std::uint64_t runs = runsProduced(result);
+    if (gauges.calls != nullptr) {
+      gauges.calls->add(1);
+      gauges.ms->add(seconds * 1e3);
+      gauges.elements->add(static_cast<double>(elements));
+      gauges.runs->add(static_cast<double>(runs));
+      containerSwitches_->add(static_cast<double>(sets.containerSwitches));
+      bitmapOpWords_->add(static_cast<double>(sets.bitmapOpWords));
+    }
+    if (opSpan.active()) {
+      opSpan.annotate(
+          "\"result_elements\":" + std::to_string(result.totalElements()) +
+          ",\"runs\":" + std::to_string(runs) +
+          (memoize_ ? ",\"memo\":\"miss\"" : ""));
     }
   }
 
   if (poison) result = poisonPartition(result, poisonMagnitude);
-
-  if (opSpan.active()) {
-    opSpan.annotate(
-        "\"result_elements\":" + std::to_string(result.totalElements()) +
-        ",\"runs\":" + std::to_string(runsProduced(result)) +
-        (memoize_ ? ",\"memo\":\"miss\"" : ""));
-  }
 
   if (memoize_) cache_.emplace(std::move(key), result);
   return result;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -12,11 +13,20 @@
 #include "region/partition.hpp"
 #include "region/world.hpp"
 #include "support/fault.hpp"
-#include "support/perf_counters.hpp"
+#include "support/metrics.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 namespace dpart::dpl {
+
+/// What the evaluator tallies itself, with or without a metrics registry:
+/// memo cache hits and misses, and the stall time injected at operator
+/// sites by FaultKind::Straggler.
+struct EvalCounters {
+  std::uint64_t cacheHits = 0;
+  std::uint64_t cacheMisses = 0;
+  std::uint64_t injectedStallMicros = 0;
+};
 
 /// Executes DPL programs against a World, producing concrete Partitions.
 ///
@@ -35,8 +45,10 @@ namespace dpart::dpl {
 ///    preimage(...) chains — materialize once. Symbols key on a per-binding
 ///    generation, so rebinding invalidates exactly the entries that depended
 ///    on the old binding.
-///  - PerfCounters record per-operator wall time, elements touched, runs
-///    produced, and cache hits/misses.
+///  - Each kernel adds its call, self-time, elements touched, runs produced
+///    and IndexSet::stats() delta to the dpl.op.* / dpl.indexset.* gauges
+///    of the registry installed with setMetrics(); counters() keeps the
+///    memo hits/misses and injected stall time.
 class Evaluator {
  public:
   /// Serial evaluation (no pool). The reference configuration the
@@ -93,8 +105,7 @@ class Evaluator {
   void setMemoize(bool on) { memoize_ = on; }
   [[nodiscard]] bool memoize() const { return memoize_; }
 
-  [[nodiscard]] const PerfCounters& counters() const { return counters_; }
-  void resetCounters() { counters_.reset(); }
+  [[nodiscard]] const EvalCounters& counters() const { return counters_; }
 
   /// The pool kernels run on; nullptr when evaluating serially.
   [[nodiscard]] ThreadPool* pool() const { return pool_; }
@@ -121,6 +132,14 @@ class Evaluator {
   void setTracer(Tracer* tracer) { tracer_ = tracer; }
   [[nodiscard]] Tracer* tracer() const { return tracer_; }
 
+  /// Adds every operator kernel's figures to `metrics` as it runs:
+  /// dpl.op.{calls,ms,elements,runs}{op} and dpl.indexset.* gauges. They
+  /// are looked up here, so all six op labels appear at zero from the
+  /// start. Several evaluators may share one registry; their figures sum.
+  /// The registry must outlive the evaluator. nullptr (the default)
+  /// disables per-operator tallies.
+  void setMetrics(MetricsRegistry* metrics);
+
  private:
   /// Evaluates expr, consulting/populating the memo cache at every
   /// non-symbol node.
@@ -136,12 +155,26 @@ class Evaluator {
   std::uint64_t nextGen_ = 0;
   bool memoize_ = true;
   mutable std::unordered_map<std::string, region::Partition> cache_;
-  mutable PerfCounters counters_;
+  mutable EvalCounters counters_;
   std::unique_ptr<ThreadPool> ownedPool_;
   ThreadPool* pool_ = nullptr;
   FaultInjector* injector_ = nullptr;
   Tracer* tracer_ = nullptr;
   std::function<void(std::uint64_t)> sleepHook_;
+
+  /// Registry handles of one kernel's dpl.op.* gauges.
+  struct OpGauges {
+    MetricGauge* calls = nullptr;
+    MetricGauge* ms = nullptr;
+    MetricGauge* elements = nullptr;
+    MetricGauge* runs = nullptr;
+  };
+  /// Indexed by ExprKind (the Symbol slot stays empty: a symbol is a
+  /// lookup, not a kernel); all null without a registry.
+  std::array<OpGauges, static_cast<std::size_t>(ExprKind::Equal) + 1>
+      opGauges_{};
+  MetricGauge* containerSwitches_ = nullptr;
+  MetricGauge* bitmapOpWords_ = nullptr;
 };
 
 }  // namespace dpart::dpl

@@ -147,8 +147,8 @@ class IndexSet {
   /// snapshot writer uses to serialize dense chunks as raw bitmap words.
   void visitChunks(const std::function<void(const ChunkView&)>& fn) const;
 
-  /// Process-global set-algebra tallies, harvested into PerfCounters by the
-  /// evaluator: container conversions performed while canonicalizing chunk
+  /// Process-global set-algebra tallies, whose per-kernel deltas the
+  /// evaluator adds to its dpl.indexset.* gauges: container conversions performed while canonicalizing chunk
   /// results, and 64-bit words processed by the bitmap op kernels.
   struct Stats {
     std::uint64_t containerSwitches = 0;

@@ -46,6 +46,7 @@ PlanExecutor::PlanExecutor(region::World& world,
     rebalancer_ = std::make_unique<Rebalancer>(
         options_.adaptive, *options_.observability.metrics);
   }
+  evaluator_.setMetrics(options_.observability.metrics);
 }
 
 PlanExecutor::~PlanExecutor() = default;
@@ -66,7 +67,11 @@ void PlanExecutor::publishMetrics() const {
   mx->gauge("executor.rebalances").set(static_cast<double>(rebalances_));
   mx->gauge("executor.injectedStallMicros")
       .set(static_cast<double>(injectedStallMicros()));
-  evaluator_.counters().exportTo(*mx);
+  const dpl::EvalCounters& ev = evaluator_.counters();
+  mx->gauge("dpl.cache.hits").set(static_cast<double>(ev.cacheHits));
+  mx->gauge("dpl.cache.misses").set(static_cast<double>(ev.cacheMisses));
+  mx->gauge("dpl.injected_stall_us")
+      .set(static_cast<double>(ev.injectedStallMicros));
 }
 
 void PlanExecutor::bindExternal(const std::string& name,

@@ -20,7 +20,6 @@
 #include "runtime/rebalance.hpp"
 #include "runtime/task_exec.hpp"
 #include "support/fault.hpp"
-#include "support/perf_counters.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
@@ -130,15 +129,15 @@ class PlanExecutor {
     return bufferedElements_;
   }
 
-  /// Partition-materialization counters (per-operator wall time, cache
-  /// hits/misses, elements touched, runs produced); see support/perf_counters.
-  [[nodiscard]] const PerfCounters& counters() const {
+  /// The evaluator's memo hits/misses and injected stall time. Per-operator
+  /// figures go straight to the dpl.op.* gauges of the metrics registry.
+  [[nodiscard]] const dpl::EvalCounters& counters() const {
     return evaluator_.counters();
   }
 
-  /// Publishes the executor- and evaluator-level tallies into the
-  /// configured metrics registry (no-op without one). Called at the end of
-  /// every run(); exposed so Session / tests can force a flush.
+  /// Publishes the executor-level tallies and the evaluator's counters()
+  /// into the configured metrics registry (no-op without one). Called at
+  /// the end of every run(); exposed so Session / tests can force a flush.
   void publishMetrics() const;
 
   /// The multi-process backend's coordinator, or nullptr when running

@@ -8,8 +8,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -26,19 +24,6 @@ std::uint64_t nowMicros() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-bool debugEnabled() {
-  static const bool on = std::getenv("DPART_SERVE_DEBUG") != nullptr;
-  return on;
-}
-
-#define SERVE_DEBUG(...)                         \
-  do {                                           \
-    if (debugEnabled()) {                        \
-      std::fprintf(stderr, "serve: " __VA_ARGS__); \
-      std::fputc('\n', stderr);                  \
-    }                                            \
-  } while (0)
 
 [[noreturn]] void setupFail(const std::string& what) {
   throw TransportError(0, "plan server: " + what + ": " +
@@ -84,7 +69,9 @@ double histogramQuantile(const MetricHistogram& h, double q) {
 }  // namespace
 
 PlanServer::PlanServer(ServerOptions options)
-    : options_(std::move(options)), cache_(options_.cacheCapacity) {}
+    : options_(std::move(options)),
+      cache_(options_.cacheCapacity),
+      latencyMs_(service_.histogram("service.latencyMs", latencyBoundsMs())) {}
 
 PlanServer::~PlanServer() { stop(); }
 
@@ -190,10 +177,10 @@ MetricsRegistry& PlanServer::tenantMetrics(const std::string& tenant) {
 
 std::string PlanServer::statsJson(const std::string& tenant) {
   if (!tenant.empty()) return tenantMetrics(tenant).toJson();
-  MetricHistogram& lat =
-      service_.histogram("service.latencyMs", latencyBoundsMs());
-  service_.gauge("service.latency.p50Ms").set(histogramQuantile(lat, 0.50));
-  service_.gauge("service.latency.p99Ms").set(histogramQuantile(lat, 0.99));
+  service_.gauge("service.latency.p50Ms")
+      .set(histogramQuantile(latencyMs_, 0.50));
+  service_.gauge("service.latency.p99Ms")
+      .set(histogramQuantile(latencyMs_, 0.99));
   const parallelize::SolveCache::Stats cs = cache_.stats();
   service_.gauge("service.cache.entries")
       .set(static_cast<double>(cs.entries));
@@ -216,19 +203,16 @@ void PlanServer::acceptLoop() {
     if (pr <= 0) continue;
     const int fd = ::accept(listenFd_, nullptr, nullptr);
     if (fd < 0) continue;  // raced with shutdown or transient error
-    SERVE_DEBUG("accepted fd=%d", fd);
     bool admitted = false;
     {
       std::lock_guard<std::mutex> lock(queueMutex_);
       if (!stopping_ && queue_.size() < options_.queueCapacity) {
         queue_.push_back(PendingConn{fd, nowMicros()});
-        service_.gauge("service.queue.depth")
-            .set(static_cast<double>(queue_.size()));
+        publishQueueDepth();
         admitted = true;
       }
     }
     if (admitted) {
-      SERVE_DEBUG("admitted fd=%d", fd);
       queueCv_.notify_one();
     } else {
       // Admission control: refuse rather than queue unboundedly. The
@@ -256,14 +240,15 @@ void PlanServer::workerLoop() {
       if (queue_.empty()) return;  // stopping
       conn = queue_.front();
       queue_.pop_front();
-      service_.gauge("service.queue.depth")
-          .set(static_cast<double>(queue_.size()));
+      publishQueueDepth();
     }
-    SERVE_DEBUG("worker popped fd=%d", conn.fd);
     serveConnection(conn);
-    SERVE_DEBUG("worker done fd=%d", conn.fd);
     ::close(conn.fd);
   }
+}
+
+void PlanServer::publishQueueDepth() {
+  service_.gauge("service.queue.depth").set(static_cast<double>(queue_.size()));
 }
 
 void PlanServer::serveConnection(PendingConn conn) {
@@ -282,23 +267,14 @@ void PlanServer::serveConnection(PendingConn conn) {
           conn.fd, options_.recvTimeoutMicros, options_.maxFrameBytes,
           /*node=*/0, static_cast<std::uint8_t>(MsgType::Request),
           static_cast<std::uint8_t>(MsgType::Shutdown));
-    } catch (const TransportError& e) {
+    } catch (const TransportError&) {
       // Malformed frame, CRC mismatch, mid-frame EOF or idle timeout: the
       // connection is unusable — count it and drop the client. The server
       // must survive hostile bytes; only this connection pays.
-      service_
-          .counter("service.errors",
-                   {{"kind", toString(ErrorCode::Transport)}})
-          .inc();
-      SERVE_DEBUG("fd=%d transport error: %s", conn.fd, e.what());
+      recordOutcome(Outcome::Dropped);
       return;
     }
-    if (!frame) {
-      SERVE_DEBUG("fd=%d clean EOF", conn.fd);
-      return;  // clean EOF between frames
-    }
-    SERVE_DEBUG("fd=%d frame type=%u size=%zu", conn.fd, unsigned(frame->type),
-                frame->payload.size());
+    if (!frame) return;  // clean EOF between frames
     switch (static_cast<MsgType>(frame->type)) {
       case MsgType::Request:
         try {
@@ -365,6 +341,30 @@ void PlanServer::sendError(int fd, ErrorCode code, const std::string& what) {
                      encodeError(ErrorReplyMsg{code, what}), /*node=*/0);
 }
 
+void PlanServer::recordOutcome(Outcome outcome, const std::string& tenant,
+                               double serverMs, ErrorCode error) {
+  const bool failed = outcome == Outcome::Failed || outcome == Outcome::Dropped;
+  if (failed) {
+    service_.counter("service.errors", {{"kind", toString(error)}}).inc();
+  }
+  if (outcome == Outcome::Dropped) return;  // no request was decoded
+  service_.counter("service.requests").inc();
+  MetricsRegistry& tm = tenantMetrics(tenant);
+  if (failed) {
+    tm.counter("tenant.errors", {{"kind", toString(error)}}).inc();
+    return;
+  }
+  const bool hit = outcome != Outcome::CacheMiss;
+  service_.counter(hit ? "service.cache.hits" : "service.cache.misses").inc();
+  if (outcome == Outcome::ExactHit) {
+    service_.counter("service.cache.exactHits").inc();
+  }
+  latencyMs_.observe(serverMs);
+  tm.counter("tenant.requests").inc();
+  tm.counter(hit ? "tenant.cache.hits" : "tenant.cache.misses").inc();
+  tm.gauge("tenant.lastLatencyMs").set(serverMs);
+}
+
 void PlanServer::handleRequest(int fd,
                                const std::vector<std::uint8_t>& payload) {
   const std::uint64_t t0 = nowMicros();
@@ -398,17 +398,7 @@ void PlanServer::handleRequest(int fd,
         resp.inferMs = resp.canonMs = resp.unifyMs = resp.solveMs =
             resp.rewriteMs = 0;
         resp.serverMs = static_cast<double>(nowMicros() - t0) / 1000.0;
-
-        service_.counter("service.requests").inc();
-        service_.counter("service.cache.hits").inc();
-        service_.counter("service.cache.exactHits").inc();
-        service_.histogram("service.latencyMs", latencyBoundsMs())
-            .observe(resp.serverMs);
-        MetricsRegistry& tm = tenantMetrics(tenant);
-        tm.counter("tenant.requests").inc();
-        tm.counter("tenant.cache.hits").inc();
-        tm.gauge("tenant.lastLatencyMs").set(resp.serverMs);
-
+        recordOutcome(Outcome::ExactHit, tenant, resp.serverMs);
         framing::sendFrame(fd, static_cast<std::uint8_t>(MsgType::Response),
                            encodeResponse(resp), /*node=*/0);
         return;
@@ -463,31 +453,15 @@ void PlanServer::handleRequest(int fd,
 
     // Metrics first, reply second: a client that has its response in hand
     // must be able to observe the request in the counters.
-    service_.counter("service.requests").inc();
-    service_.counter(st.cacheHit ? "service.cache.hits"
-                                 : "service.cache.misses")
-        .inc();
-    service_.histogram("service.latencyMs", latencyBoundsMs())
-        .observe(resp.serverMs);
-    MetricsRegistry& tm = tenantMetrics(tenant);
-    tm.counter("tenant.requests").inc();
-    tm.counter(st.cacheHit ? "tenant.cache.hits" : "tenant.cache.misses")
-        .inc();
-    tm.gauge("tenant.lastLatencyMs").set(resp.serverMs);
-
+    recordOutcome(st.cacheHit ? Outcome::CacheHit : Outcome::CacheMiss,
+                  tenant, resp.serverMs);
     framing::sendFrame(fd, static_cast<std::uint8_t>(MsgType::Response),
                        encodeResponse(resp), /*node=*/0);
   } catch (const TransportError&) {
     throw;  // reply could not be delivered; caller drops the connection
   } catch (const Error& e) {
     // The whole taxonomy travels as (stable code, message).
-    service_.counter("service.requests").inc();
-    service_
-        .counter("service.errors", {{"kind", toString(e.errorCode())}})
-        .inc();
-    tenantMetrics(tenant)
-        .counter("tenant.errors", {{"kind", toString(e.errorCode())}})
-        .inc();
+    recordOutcome(Outcome::Failed, tenant, 0, e.errorCode());
     sendError(fd, e.errorCode(), e.what());
   }
 }

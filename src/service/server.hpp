@@ -139,6 +139,23 @@ class PlanServer {
   /// (send failures propagate as TransportError to the caller).
   void handleRequest(int fd, const std::vector<std::uint8_t>& payload);
   void sendError(int fd, ErrorCode code, const std::string& what);
+
+  /// How one request, or a connection that never delivered one, ended.
+  enum class Outcome {
+    ExactHit,   ///< answered from the exact-request response memo (L1)
+    CacheHit,   ///< compiled; the canonical plan cache (L2) hit
+    CacheMiss,  ///< compiled; solved from scratch
+    Failed,     ///< answered with an ErrorReply carrying `error`
+    Dropped,    ///< unreadable frame; the connection was closed
+  };
+  /// The one producer of the per-request service.* and tenant.* metrics.
+  /// `serverMs` is observed for answered requests only; `error` is the
+  /// failure's code for Failed and Dropped.
+  void recordOutcome(Outcome outcome, const std::string& tenant = {},
+                     double serverMs = 0,
+                     ErrorCode error = ErrorCode::Transport);
+  /// Sets service.queue.depth; call with queueMutex_ held.
+  void publishQueueDepth();
   /// The non-joining half of stop(): flips the flag and wakes everyone.
   void beginStop();
 
@@ -150,6 +167,7 @@ class PlanServer {
   ServerOptions options_;
   parallelize::SolveCache cache_;
   MetricsRegistry service_;
+  MetricHistogram& latencyMs_;  ///< service.latencyMs, in service_
 
   std::mutex responseCacheMutex_;
   std::unordered_map<std::uint64_t, PlanResponse> responseCache_;

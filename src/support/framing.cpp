@@ -2,7 +2,9 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
@@ -94,47 +96,59 @@ bool readFully(int fd, std::uint8_t* buf, std::size_t n,
   return true;
 }
 
-void writeFully(int fd, const std::uint8_t* buf, std::size_t n,
-                std::size_t node) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    // MSG_NOSIGNAL: a dead peer yields EPIPE (-> TransportError) instead of
-    // killing the process with SIGPIPE.
-    const ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      transportFail(node, std::string("send: ") + std::strerror(errno));
-    }
-    sent += static_cast<std::size_t>(r);
-  }
-}
-
 }  // namespace
 
 void sendFrame(int fd, std::uint8_t type, std::span<const std::uint8_t> payload,
                std::size_t node, NetCounters* counters,
                const std::function<void(std::vector<std::uint8_t>&)>& tamper) {
-  std::vector<std::uint8_t> frame(kFrameHeaderSize + payload.size());
-  std::memcpy(frame.data(), kMagic.data(), kMagic.size());
-  frame[4] = type;
-  putU64(frame.data() + 5, payload.size());
-  putU32(frame.data() + 13, crc32(payload));
+  std::array<std::uint8_t, kFrameHeaderSize> header{};
+  std::memcpy(header.data(), kMagic.data(), kMagic.size());
+  header[4] = type;
+  putU64(header.data() + 5, payload.size());
+  putU32(header.data() + 13, crc32(payload));
+  std::vector<std::uint8_t> damaged;
   if (tamper) {
     // Silent-corruption model, as in writeFramedFile: the checksum was
     // computed from the intact payload, then the bytes on the wire are
     // damaged — the receiver must catch the mismatch.
-    std::vector<std::uint8_t> damaged(payload.begin(), payload.end());
+    damaged.assign(payload.begin(), payload.end());
     tamper(damaged);
     damaged.resize(payload.size());  // tamper may not change the length
-    std::memcpy(frame.data() + kFrameHeaderSize, damaged.data(),
-                damaged.size());
-  } else if (!payload.empty()) {
-    std::memcpy(frame.data() + kFrameHeaderSize, payload.data(),
-                payload.size());
+    payload = damaged;
   }
-  writeFully(fd, frame.data(), frame.size(), node);
+  // Header and payload leave in one sendmsg, so a loopback-TCP frame is not
+  // split into two segments by Nagle's algorithm.
+  std::array<iovec, 2> iov{
+      iovec{header.data(), header.size()},
+      iovec{const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov.data();
+  msg.msg_iovlen = iov.size();
+  std::size_t left = header.size() + payload.size();
+  while (left > 0) {
+    // MSG_NOSIGNAL: a dead peer yields EPIPE (-> TransportError) instead of
+    // killing the process with SIGPIPE.
+    const ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (r < 0) {
+      if (errno == EINTR || errno == EAGAIN) continue;
+      transportFail(node, std::string("send: ") + std::strerror(errno));
+    }
+    // Skip what was written: drop finished iovecs, advance the partial one.
+    left -= static_cast<std::size_t>(r);
+    for (auto sent = static_cast<std::size_t>(r); sent > 0;) {
+      iovec& front = *msg.msg_iov;
+      const std::size_t step = std::min(sent, front.iov_len);
+      front.iov_base = static_cast<std::uint8_t*>(front.iov_base) + step;
+      front.iov_len -= step;
+      sent -= step;
+      if (front.iov_len == 0) {
+        ++msg.msg_iov;
+        --msg.msg_iovlen;
+      }
+    }
+  }
   if (counters != nullptr) {
-    counters->bytesSent += frame.size();
+    counters->bytesSent += header.size() + payload.size();
     ++counters->messagesSent;
   }
 }

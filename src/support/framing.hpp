@@ -33,8 +33,9 @@ struct RawFrame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Send/receive tallies of one endpoint (the coordinator publishes these as
-/// executor.net.* metrics; the plan server as service.net.* gauges).
+/// Send/receive tallies of one endpoint. The coordinator publishes its own
+/// as executor.net.* metrics and PlanClient exposes its own; the plan
+/// server keeps none.
 struct NetCounters {
   std::uint64_t bytesSent = 0;
   std::uint64_t bytesRecv = 0;

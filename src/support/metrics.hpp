@@ -71,11 +71,11 @@ class MetricHistogram {
   std::atomic<double> sum_{0};
 };
 
-/// Registry of named counters / gauges / histograms with labels, replacing
-/// ad-hoc tally structs as the system-wide metrics surface (PerfCounters
-/// publishes into it via PerfCounters::exportTo). Creation takes a lock;
-/// returned references are stable for the registry's lifetime, so hot paths
-/// look a metric up once and update it lock-free thereafter.
+/// Registry of named counters / gauges / histograms with labels: the one
+/// tally container below Session, which producers such as dpl::Evaluator
+/// and the plan server update directly. Creation takes a lock; returned
+/// references are stable for the registry's lifetime, so hot paths look a
+/// metric up once and update it lock-free thereafter.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

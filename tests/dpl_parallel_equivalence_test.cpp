@@ -10,6 +10,7 @@
 
 #include "dpl/evaluator.hpp"
 #include "region/dpl_ops.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -159,7 +160,9 @@ TEST(DplParallelEquivalence, ProgramsMatchSerialReference) {
 TEST(DplParallelEquivalence, DuplicatedSubexpressionsHitCache) {
   Rng rng(42);
   RandomWorld w(rng, 64, 32);
+  MetricsRegistry registry;
   Evaluator ev(w.world, 4);
+  ev.setMetrics(&registry);
   Program prog;
   prog.append("PB", equalOf("B"));
   // The same preimage subtree appears three times across two statements.
@@ -176,8 +179,17 @@ TEST(DplParallelEquivalence, DuplicatedSubexpressionsHitCache) {
   for (const auto& [name, part] : envRef) {
     EXPECT_EQ(part, ev.partition(name)) << name;
   }
-  EXPECT_GT(ev.counters().ops[PerfCounters::kPreimage].invocations, 0u);
-  EXPECT_GT(ev.counters().ops[PerfCounters::kPreimage].elements, 0u);
+  const auto preimageGauge = [&](const std::string& name) {
+    for (const auto& e : registry.snapshot().entries) {
+      if (e.name == name && e.labels == MetricLabels{{"op", "preimage"}}) {
+        return e.value;
+      }
+    }
+    ADD_FAILURE() << name << "{op=preimage} is not in the registry";
+    return 0.0;
+  };
+  EXPECT_GT(preimageGauge("dpl.op.calls"), 0.0);
+  EXPECT_GT(preimageGauge("dpl.op.elements"), 0.0);
 }
 
 TEST(DplParallelEquivalence, CommutativeOperandOrderIsCanonicalized) {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "support/json.hpp"
-#include "support/perf_counters.hpp"
 
 namespace dpart {
 namespace {
@@ -155,34 +154,6 @@ TEST(Metrics, ConcurrentUpdatesLoseNothing) {
   EXPECT_EQ(c.value(), std::uint64_t(kThreads) * kIters);
   EXPECT_EQ(h.count(), std::uint64_t(kThreads) * kIters);
   EXPECT_EQ(h.bucketCounts()[1], std::uint64_t(kThreads) * kIters);
-}
-
-TEST(Metrics, PerfCountersExportPublishesFixedSchema) {
-  PerfCounters counters;
-  counters.ops[PerfCounters::kImage].record(0.002, 100, 7);
-  counters.cacheHits = 5;
-  counters.injectedStallMicros = 1234;
-
-  MetricsRegistry registry;
-  counters.exportTo(registry);
-  // Every declared operator appears, even the ones never invoked.
-  for (std::size_t i = 0; i < PerfCounters::kNumOps; ++i) {
-    const MetricLabels labels{{"op", PerfCounters::opName(i)}};
-    EXPECT_GE(registry.gauge("dpl.op.calls", labels).value(), 0.0);
-  }
-  EXPECT_DOUBLE_EQ(
-      registry.gauge("dpl.op.calls", {{"op", "image"}}).value(), 1.0);
-  EXPECT_DOUBLE_EQ(
-      registry.gauge("dpl.op.elements", {{"op", "image"}}).value(), 100.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("dpl.cache.hits").value(), 5.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("dpl.injected_stall_us").value(), 1234.0);
-
-  // toJson carries the same fixed schema (satellite of the bench fix).
-  const json::Value doc = json::parse(counters.toJson());
-  EXPECT_EQ(doc.at("injected_stall_us").number, 1234);
-  for (std::size_t i = 0; i < PerfCounters::kNumOps; ++i) {
-    EXPECT_TRUE(doc.at("ops").has(PerfCounters::opName(i)));
-  }
 }
 
 }  // namespace

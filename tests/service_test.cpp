@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -587,6 +589,109 @@ TEST(ServiceServer, FeasibleVocabularyCompilesAndReportsCounters) {
   const PlanResponse plain =
       client.parallelize(makeRequest("acme", world, makeProgram()));
   EXPECT_EQ(plain.propagations, 0u);
+}
+
+/// Counter values and histogram observation counts of a registry, keyed
+/// "name" or "name{label=value}" (gauges are levels, not tallies).
+std::map<std::string, std::uint64_t> tallies(const MetricsRegistry& r) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& e : r.snapshot().entries) {
+    if (e.kind == MetricsRegistry::Snapshot::Entry::Kind::Gauge) continue;
+    std::string key = e.name;
+    for (const auto& [k, v] : e.labels) key += "{" + k + "=" + v + "}";
+    out[key] = e.count;
+  }
+  return out;
+}
+
+/// The tallies that moved between two snapshots, and by how much.
+std::map<std::string, std::uint64_t> moved(
+    const std::map<std::string, std::uint64_t>& before,
+    const std::map<std::string, std::uint64_t>& after) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [key, v] : after) {
+    const auto it = before.find(key);
+    const std::uint64_t was = it == before.end() ? 0 : it->second;
+    if (v != was) out[key] = v - was;
+  }
+  return out;
+}
+
+TEST(ServiceServer, EachOutcomeBumpsExactlyItsCounters) {
+  using Tallies = std::map<std::string, std::uint64_t>;
+  ServerFixture fx;
+  MetricsRegistry& service = fx.server.serviceMetrics();
+  MetricsRegistry& tenant = fx.server.tenantMetrics("pin");
+  region::World world;
+  buildWorld(world);
+  PlanClient client = PlanClient::connectTcp(fx.server.port());
+  // A stats round trip: the connection is being served (its queue wait
+  // observed) before the first snapshot.
+  (void)client.stats();
+
+  struct Step {
+    const char* what;
+    Tallies service;
+    Tallies tenant;
+  };
+  const auto expectStep = [&](const Step& want, const Tallies& s0,
+                              const Tallies& t0) {
+    EXPECT_EQ(moved(s0, tallies(service)), want.service) << want.what;
+    EXPECT_EQ(moved(t0, tallies(tenant)), want.tenant) << want.what;
+  };
+
+  Tallies s0 = tallies(service);
+  Tallies t0 = tallies(tenant);
+  (void)client.parallelize(makeRequest("pin", world, makeProgram()));
+  expectStep({"compile",
+              {{"service.requests", 1},
+               {"service.cache.misses", 1},
+               {"service.latencyMs", 1}},
+              {{"tenant.requests", 1}, {"tenant.cache.misses", 1}}},
+             s0, t0);
+
+  s0 = tallies(service);
+  t0 = tallies(tenant);
+  const PlanResponse exact =
+      client.parallelize(makeRequest("pin", world, makeProgram()));
+  EXPECT_TRUE(exact.cacheHit);
+  expectStep({"L1 hit",
+              {{"service.requests", 1},
+               {"service.cache.hits", 1},
+               {"service.cache.exactHits", 1},
+               {"service.latencyMs", 1}},
+              {{"tenant.requests", 1}, {"tenant.cache.hits", 1}}},
+             s0, t0);
+
+  s0 = tallies(service);
+  t0 = tallies(tenant);
+  EXPECT_THROW(
+      (void)client.parallelize(makeRequest("pin", world, makeProgram(), 0)),
+      BadRequest);
+  expectStep({"BadRequest",
+              {{"service.requests", 1},
+               {"service.errors{kind=BadRequest}", 1}},
+              {{"tenant.errors{kind=BadRequest}", 1}}},
+             s0, t0);
+
+  // A hostile frame: the connection is dropped before any request is
+  // decoded, so no request and no tenant is counted. Its own queue wait is
+  // observed like every connection's.
+  s0 = tallies(service);
+  t0 = tallies(tenant);
+  const int fd = connectRaw(fx.server.port());
+  const char garbage[] = "this is not a DPMG frame, not even close";
+  ASSERT_GT(::write(fd, garbage, sizeof(garbage)), 0);
+  const std::string dropped = "service.errors{kind=TransportError}";
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (tallies(service)[dropped] == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ::close(fd);
+  expectStep({"hostile frame", {{dropped, 1}, {"service.queueWaitMs", 1}}, {}},
+             s0, t0);
 }
 
 TEST(ServiceServer, ShutdownFrameStopsTheServer) {
